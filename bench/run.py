@@ -12,17 +12,24 @@ checks every unit's outputs outside the timed region.
 ``--trace 0`` reports the end-to-end metrics declared in BENCHMARK.json.
 Unit times are given in multiples of a fixed reference computation
 timed right before and after each unit (see ``reference.py``), because
-the shared machine's speed drifts by up to a factor of two; the set-up
-time is the median of fresh interpreters timed through the run.
+the shared machine's speed drifts by up to a factor of two.  The set-up
+time is the median of fresh interpreters timed through the run, in
+seconds and as a multiple of the numpy import time of the same
+interpreter.
+The peak resident memory is read in a fresh interpreter that runs one
+unit, so it holds the program's memory and none of the runner's.
 ``--trace 1`` alternates untraced and traced units and reports the
 per-layer metrics: span self and busy times, exact counts from the
 engine's face logs, replays of the single-step functions, the
-path-count scaling grid, raw seconds and the tracing overhead.  The
-spans are written to ``.bench_out/`` when the run ends.
+path-count scaling grid, raw seconds, path-steps per second counted
+from the engine's outputs, and the tracing overhead.  The spans are
+written to ``.bench_out/`` when the run ends.
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``; ``failed``
-counts units whose command failed or whose outputs did not check out.
+counts units whose command failed or whose outputs did not check out,
+and ``correct`` is also false when the check over all units of the run
+pooled fails.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ import argparse
 import gc
 import json
 import os
-import resource
 import shutil
 import statistics
 import subprocess
@@ -50,15 +56,20 @@ ROOT = BENCH.parent
 SRC = ROOT / "src"
 WORKLOAD_NAMES = ("sens-hr2d", "halfline-1path", "simulate-ortho2d-64")
 
-#: A fresh interpreter is timed for setup_s before every SETUP_EVERY-th
-#: unit, so that its median samples the whole run.
-SETUP_EVERY = 4
+#: Fresh interpreters timed for setup_s, spread over the run so that
+#: their median samples all of it.
+SETUP_PROBES = 8
 
 #: import rbmsens, load the scenario, validate it: everything a command
-#: does before its first simulation call.
+#: does before its first simulation call.  numpy is imported first and
+#: timed on its own: its import is the first part of every set-up and
+#: does not depend on the program, so the ratio of the two times, taken
+#: in one interpreter, cancels most of the machine's drift.
 SETUP_PROBE = r"""
 import sys, time
 start = time.perf_counter()
+import numpy
+numpy_s = time.perf_counter() - start
 sys.path.insert(0, sys.argv[1])
 import rbmsens
 cfg = rbmsens.load_config(sys.argv[2])
@@ -67,7 +78,23 @@ stable, _ = rbmsens.drift_stability_check(cfg.model)
 elapsed = time.perf_counter() - start
 if not (accepted and stable):
     sys.exit("scenario rejected")
-print(repr(elapsed))
+print(repr(elapsed), repr(numpy_s))
+"""
+
+#: One unit of the workload in a fresh interpreter: its peak resident
+#: memory is what a user running the command pays.  The outputs are
+#: checked after the peak has been read.
+MEMORY_PROBE = r"""
+import json, resource, sys
+sys.path[:0] = sys.argv[1:3]
+from workloads import WORKLOADS
+workload = WORKLOADS[sys.argv[3]](sys.argv[4])
+seed = int(sys.argv[5])
+workload.discard_outputs()
+code = workload.run(seed)
+peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"peak_mb": peak_kb / 1024.0,
+                  "problems": workload.check(seed, code)}))
 """
 
 
@@ -94,13 +121,15 @@ def declared_metrics(trace: int) -> dict[str, str]:
             for m in spec["per_layer" if trace else "end_to_end"]}
 
 
-def probe_setup(config_path: str) -> float:
+def probe_setup(config_path: str) -> tuple[float, float]:
+    """Set-up seconds of a fresh interpreter, and its numpy import seconds."""
     proc = subprocess.run(
         [sys.executable, "-c", SETUP_PROBE, str(SRC), config_path],
         capture_output=True, text=True, timeout=120, cwd=ROOT)
     if proc.returncode != 0:
         raise RuntimeError(f"setup probe failed: {proc.stderr.strip()}")
-    return float(proc.stdout)
+    setup_s, numpy_s = proc.stdout.split()
+    return float(setup_s), float(numpy_s)
 
 
 class Loop:
@@ -115,12 +144,21 @@ class Loop:
         self.estimates = []
         self.spent = 0.0   # wall time of the units run since the last reset
 
-    def unit(self, tracer=None):
-        """Run and check one unit; return a Sample, or None on failure."""
+    def _next(self):
         index = self.index
-        seed = self.seed_of(index)
         self.index += 1
         self.attempted += 1
+        return index, self.seed_of(index)
+
+    def _report(self, index, seed, problems) -> None:
+        if problems:
+            self.failed += 1
+        for problem in problems:
+            print(f"unit {index} (seed {seed}): {problem}", file=sys.stderr)
+
+    def unit(self, tracer=None):
+        """Run and check one unit; return a Sample, or None on failure."""
+        index, seed = self._next()
         if tracer is not None:
             tracer.unit = index
         self.workload.discard_outputs()
@@ -138,12 +176,25 @@ class Loop:
             self.spent += time.perf_counter() - start
             return None
         self.spent += sample.wall
-        if problems:
-            self.failed += 1
-            for problem in problems:
-                print(f"unit {index} (seed {seed}): {problem}",
-                      file=sys.stderr)
+        self._report(index, seed, problems)
         return sample
+
+    def memory_unit(self, workdir: str):
+        """Run and check one unit in a fresh interpreter; return its peak MB."""
+        index, seed = self._next()
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", MEMORY_PROBE, str(SRC), str(BENCH),
+                 self.workload.name, workdir, str(seed)],
+                capture_output=True, text=True, timeout=170, cwd=ROOT)
+            sys.stderr.write(proc.stderr)
+            result = json.loads(proc.stdout.splitlines()[-1])
+        except (subprocess.TimeoutExpired, ValueError, IndexError):
+            traceback.print_exc()
+            self.failed += 1
+            return None
+        self._report(index, seed, result["problems"])
+        return result["peak_mb"]
 
     def _timed(self, seed, tracer):
         before = time_reference()
@@ -165,31 +216,31 @@ class Sample:
     ref: float
 
 
-def run_plain(loop, seconds: float, config_path: str) -> dict:
+def run_plain(loop, seconds: float, workdir: str) -> dict:
+    config_path = loop.workload.config_path
     setups = [probe_setup(config_path)]
-    loop.unit()                                   # warm-up
+    peak_mb = loop.memory_unit(workdir)
+    warm = loop.unit()                            # warm-up
     loop.spent = 0.0
+    unit_s = warm.wall if warm is not None else seconds
+    probe_every = max(1, round(seconds / unit_s / (SETUP_PROBES - 1)))
     samples = []
     while loop.spent < seconds:
-        if loop.index % SETUP_EVERY == 0:
+        if loop.index % probe_every == 0:
             setups.append(probe_setup(config_path))
         sample = loop.unit()
         if sample is not None:
             samples.append(sample)
-    if not samples:
+    if not samples or peak_mb is None:
         raise RuntimeError("no unit ran to completion")
-    steps = loop.workload.path_steps
     n = f"median of {len(samples)} units"
+    m = f"median of {len(setups)} fresh interpreters"
     return {
-        "setup_s": (statistics.median(setups),
-                    f"median of {len(setups)} fresh interpreters"),
+        "setup_s": (statistics.median(s for s, _ in setups), m),
+        "setup_numpy_ratio": (statistics.median(s / n for s, n in setups), m),
         "wall_ref": (statistics.median(s.wall / s.ref for s in samples), n),
         "cpu_ref": (statistics.median(s.cpu / s.ref for s in samples), n),
-        "steps_per_ref": (statistics.median(steps / (s.wall / s.ref)
-                                            for s in samples),
-                          f"{n} of {steps} path-steps"),
-        "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-                        / 1024.0, "whole process"),
+        "peak_rss_mb": (peak_mb, "fresh interpreter running one unit"),
     }
 
 
@@ -199,7 +250,7 @@ def run_traced(loop, seconds: float, seed: int, spans_path: Path) -> dict:
     loop.unit()                                   # warm-up
     loop.spent = 0.0
     plain, traced = [], []
-    per_unit = []
+    per_unit, counted = [], []
     replays = None
     while loop.spent < seconds:
         sample = loop.unit()
@@ -213,9 +264,11 @@ def run_traced(loop, seconds: float, seed: int, spans_path: Path) -> dict:
             metrics.update(spans.trajectory_metrics(tracer.kept))
             metrics["sim.csv_bytes"] = sum(
                 os.path.getsize(f) for f in loop.workload.trajectory_files())
+            solve_steps = spans.solve_steps(tracer.kept)
             solve_s = metrics["skorokhod.sp_solve_path.s"]
             metrics["skorokhod.sp_solve_path.msteps_per_s"] = (
-                loop.workload.solve_steps / solve_s / 1e6 if solve_s else 0.0)
+                solve_steps / solve_s / 1e6 if solve_s else 0.0)
+            counted.append(metrics["sim.path_steps"] + solve_steps)
             per_unit.append(metrics)
             if replays is None:
                 replays = spans.replay_metrics(tracer.kept)
@@ -235,11 +288,12 @@ def run_traced(loop, seconds: float, seed: int, spans_path: Path) -> dict:
         out[name] = (value, "replay on the first traced unit")
     for name, value in spans.scaling_grid(seed).items():
         out[name] = (value, "hr2d horizon 0.5, median of 3")
-    steps = loop.workload.path_steps
+    steps = statistics.median_low(counted)
     n = f"median of {len(plain)} untraced units"
     out["wall_s"] = (statistics.median(s.wall for s in plain), n)
     out["cpu_s"] = (statistics.median(s.cpu for s in plain), n)
-    out["msteps_per_s"] = (statistics.median(steps / 1e6 / s.wall for s in plain), n)
+    out["msteps_per_s"] = (statistics.median(steps / 1e6 / s.wall for s in plain),
+                           f"{n}, {steps} path-steps counted in traced units")
     out["ref_s"] = (statistics.median(s.ref for s in plain + traced),
                     "median reference time around all units")
     out["trace_overhead"] = (
@@ -287,9 +341,12 @@ def run_workload(args) -> int:
                           / f"spans-{args.workload}-{args.seed}.json")
             measured = run_traced(loop, args.seconds, args.seed, spans_path)
         else:
-            measured = run_plain(loop, args.seconds, workload.config_path)
+            measured = run_plain(loop, args.seconds, workdir)
+        run_problems = workload.run_check()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+    for problem in run_problems:
+        print(f"run (seed {args.seed}): {problem}", file=sys.stderr)
 
     if set(measured) != set(declared):
         print("measured metrics differ from BENCHMARK.json: "
@@ -299,7 +356,7 @@ def run_workload(args) -> int:
         value, note = measured[name]
         print(f"{args.workload:20s} {name:38s} {value:14.6g} {unit:14s} {note}")
     print(json.dumps({
-        "correct": loop.failed == 0,
+        "correct": loop.failed == 0 and not run_problems,
         "attempted": loop.attempted,
         "failed": loop.failed,
         "metrics": {name: {"value": measured[name][0], "unit": unit}

@@ -47,7 +47,7 @@ PATCHES = (
     ("rbmsens.cli", "write_report_csv", "estimators.write_report_csv", False),
     ("rbmsens.estimators", "simulate_rbm", "sim.simulate_rbm", True),
     ("rbmsens.sim", "OperatorCache", "derivative.OperatorCache", False),
-    ("rbmsens", "sp_solve_path", "skorokhod.sp_solve_path", False),
+    ("rbmsens", "sp_solve_path", "skorokhod.sp_solve_path", True),
     ("rbmsens", "brownian_increments", "sim.brownian_increments", False),
 )
 
@@ -159,7 +159,15 @@ def unit_span_metrics(spans) -> dict[str, float]:
 
 def engine_runs(kept):
     """(model, trajectories) of each kept simulate_* call."""
-    return [(args[0], result) for _, args, result in kept]
+    return [(args[0], result) for name, args, result in kept
+            if name.startswith("sim.simulate_")]
+
+
+def solve_steps(kept) -> int:
+    """Path-steps of the kept ``sp_solve_path`` results."""
+    return sum(result.constrained.values.shape[0] - 1
+               for name, _, result in kept
+               if name == "skorokhod.sp_solve_path")
 
 
 def trajectory_metrics(kept) -> dict[str, float]:

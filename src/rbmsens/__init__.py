@@ -15,10 +15,10 @@ from .geometry import (BNorm, ConeModel, ValidationReport, active_faces,
                        validate_cone)
 from .skorokhod import (DiscretePath, LcpSolution, SPResult, lcp_solve,
                         lyapunov_m, sp_1d_oracle, sp_solve_path, sp_step)
-from .derivative import (DerivativeState, OperatorCache, ProjectionOperator,
-                         contraction_probe, delta0_probes,
-                         derivative_projection, derivative_step,
-                         estimate_delta0, psi_increment, subspace_gap)
+from .derivative import (DerivativeState, OperatorCache, contraction_probe,
+                         delta0_probes, derivative_projection,
+                         derivative_step, estimate_delta0, psi_increment,
+                         subspace_gap)
 from .sim import (JointTrajectory, RngContract, SimConfig, Trajectory,
                   brownian_increments, simulate_joint, simulate_joint_pair,
                   simulate_rbm, visit_all_faces_time, write_trajectory_csv)

@@ -29,7 +29,6 @@ from .errors import DomainError, GeometryError
 from .geometry import BNorm, ConeModel, active_faces, build_b_norm, face_mask, face_set
 
 __all__ = [
-    "ProjectionOperator",
     "DerivativeState",
     "OperatorCache",
     "derivative_projection",
@@ -44,28 +43,6 @@ __all__ = [
 #: A projection is considered to have moved the state when the update
 #: differs by more than this (max norm); used for jump bookkeeping.
 JUMP_TOL = 1e-12
-
-#: Above this dimension the operator cache fills lazily instead of
-#: enumerating all 2^J face sets up front.
-EAGER_CACHE_DIM = 12
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectionOperator:
-    """Constraint projection attached to one face set."""
-
-    faces: frozenset[int]
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "faces", frozenset(self.faces))
-
-    def __call__(self, y) -> np.ndarray:
-        return self.matrix @ np.asarray(y, dtype=float)
-
 
 @dataclass(frozen=True)
 class DerivativeState:
@@ -84,8 +61,8 @@ class DerivativeState:
         object.__setattr__(self, "value", v)
 
 
-def derivative_projection(model: ConeModel, faces) -> ProjectionOperator:
-    """Build L_I for the face set ``faces`` (1-based indices).
+def derivative_projection(model: ConeModel, faces) -> np.ndarray:
+    """Build the read-only matrix L_I for the face set ``faces`` (1-based).
 
     The full face set returns an exact zero matrix and the empty set
     an exact identity, so that interior steps and total pins are free
@@ -96,46 +73,39 @@ def derivative_projection(model: ConeModel, faces) -> ProjectionOperator:
     if any(i < 1 or i > dim for i in faces):
         raise ValueError(f"face indices must lie in 1..{dim}, got {sorted(faces)}")
     if not faces:
-        return ProjectionOperator(faces, np.identity(dim))
-    if len(faces) == dim:
-        return ProjectionOperator(faces, np.zeros((dim, dim)))
-    idx = sorted(i - 1 for i in faces)
-    n_i = model.normals[:, idx]
-    r_i = model.reflections[:, idx]
-    gram = n_i.T @ r_i
-    try:
-        core = np.linalg.solve(gram, n_i.T)
-    except np.linalg.LinAlgError as err:
-        raise GeometryError(
-            f"face block N_I^T R_I is singular for I={sorted(faces)}: {err}") from err
-    return ProjectionOperator(faces, np.identity(dim) - r_i @ core)
+        matrix = np.identity(dim)
+    elif len(faces) == dim:
+        matrix = np.zeros((dim, dim))
+    else:
+        idx = sorted(i - 1 for i in faces)
+        n_i = model.normals[:, idx]
+        r_i = model.reflections[:, idx]
+        try:
+            core = np.linalg.solve(n_i.T @ r_i, n_i.T)
+        except np.linalg.LinAlgError as err:
+            raise GeometryError(
+                f"face block N_I^T R_I is singular for I={sorted(faces)}: {err}") from err
+        matrix = np.identity(dim) - r_i @ core
+    matrix.setflags(write=False)
+    return matrix
 
 
 class OperatorCache:
-    """All projections of one model, addressable by face bitmask.
+    """Projections of one model, built on first use and kept by bitmask.
 
-    For J <= 12 every operator is built eagerly at construction;
-    beyond that they are built on first use.  Lookup accepts either a
-    bitmask or any iterable of 1-based indices.
+    ``get`` accepts a bitmask or any iterable of 1-based indices.
     """
 
     def __init__(self, model: ConeModel):
         self.model = model
-        self._ops: dict[int, ProjectionOperator] = {}
-        if model.dim <= EAGER_CACHE_DIM:
-            for mask in range(2 ** model.dim):
-                self._ops[mask] = derivative_projection(model, face_set(mask))
+        self._ops: dict[int, np.ndarray] = {}
 
-    def get(self, faces) -> ProjectionOperator:
+    def get(self, faces) -> np.ndarray:
         mask = int(faces) if isinstance(faces, (int, np.integer)) else face_mask(faces)
         op = self._ops.get(mask)
         if op is None:
-            op = derivative_projection(self.model, face_set(mask))
-            self._ops[mask] = op
+            op = self._ops[mask] = derivative_projection(self.model, face_set(mask))
         return op
-
-    def __getitem__(self, faces) -> ProjectionOperator:
-        return self.get(faces)
 
 
 def psi_increment(model: ConeModel, dt: float, delta_w, delta_ell) -> np.ndarray:
@@ -162,7 +132,7 @@ def derivative_step(cache: OperatorCache, state: DerivativeState, delta_psi,
         mask = face_mask(faces_after)
     if mask == 0:
         return DerivativeState(moved, state.last_jump_time)
-    projected = cache.get(mask).matrix @ moved
+    projected = cache.get(mask) @ moved
     jump_time = state.last_jump_time
     if np.abs(projected - moved).max() > JUMP_TOL:
         jump_time = t if t is not None else jump_time
@@ -195,7 +165,7 @@ def contraction_probe(model: ConeModel, face_sets, bnorm: BNorm | None = None) -
         bnorm = build_b_norm(model)
     product = np.identity(model.dim)
     for faces in face_sets:
-        product = derivative_projection(model, faces).matrix @ product
+        product = derivative_projection(model, faces) @ product
     return bnorm.operator_norm(product)
 
 

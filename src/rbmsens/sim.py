@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .geometry import ConeModel, active_faces
 from .derivative import OperatorCache, subspace_gap
+from .skorokhod import _couplings, _least_push
 
 __all__ = [
     "SimConfig",
@@ -39,10 +40,6 @@ __all__ = [
 #: Steps per internal chunk; increments are drawn and drift terms
 #: precomputed one chunk at a time.  Chunking never changes results.
 CHUNK_STEPS = 4096
-
-#: A projection counts as a jump when it moves the derivative by more
-#: than this in max norm (matches the single-step recursion).
-JUMP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -144,28 +141,6 @@ def brownian_increments(rng: RngContract | np.random.Generator,
     return gen.standard_normal((n_steps, dim)) * np.sqrt(dt)
 
 
-def _prepare_masks_constants(model: ConeModel):
-    N = model.normals
-    R = model.reflections
-    Q = np.identity(model.dim) - N.T @ R
-    return N, R, Q, bool((Q == 0.0).all())
-
-
-def _lcp_batch(q, Q, trivial, tol=1e-12, max_iter=500):
-    """Least LCP solutions for a (paths, faces) block of q vectors."""
-    if trivial:
-        return np.maximum(-q, 0.0)
-    w = np.zeros_like(q)
-    for _ in range(max_iter):
-        w_next = np.maximum(w @ Q.T - q, 0.0)
-        delta = float(np.abs(w_next - w).max())
-        w = w_next
-        if delta <= tol:
-            return w
-    raise ConvergenceError("reflection step did not converge across paths",
-                           iterations=max_iter, residual=delta, last=w)
-
-
 def _simulate(model: ConeModel, cfg: SimConfig, x0, j0_list):
     """Shared engine; j0_list carries zero or more derivative starts."""
     dim = model.dim
@@ -188,8 +163,9 @@ def _simulate(model: ConeModel, cfg: SimConfig, x0, j0_list):
                 f"(gap {gap:.3e})")
         j0s.append(j0)
 
-    N, R, Q, trivial = _prepare_masks_constants(model)
-    NT = N.T
+    N = model.normals
+    R = model.reflections
+    Q = _couplings(model)
     cache = OperatorCache(model) if n_rec else None
 
     n_steps = cfg.n_steps()
@@ -213,7 +189,7 @@ def _simulate(model: ConeModel, cfg: SimConfig, x0, j0_list):
 
     mask0 = 0
     for i in np.flatnonzero(
-            NT @ x0 <= cfg.face_tol * (1.0 + float(np.linalg.norm(x0)))):
+            N.T @ x0 <= cfg.face_tol * (1.0 + float(np.linalg.norm(x0)))):
         mask0 |= 1 << int(i)
     z_out[:, 0] = x
     ell_out[:, 0] = 0.0
@@ -245,8 +221,7 @@ def _simulate(model: ConeModel, cfg: SimConfig, x0, j0_list):
         for j in range(chunk):
             dwj = dw[:, j]
             target = x + dwj @ model.dispersion.T + drift_dt
-            q = target @ N
-            w = _lcp_batch(q, Q, trivial)
+            w = _least_push(target @ N, Q)[0]
             x = target + w @ R.T
             ell += w
 
@@ -265,7 +240,7 @@ def _simulate(model: ConeModel, cfg: SimConfig, x0, j0_list):
                         if m == 0:
                             continue
                         rows = masks == m
-                        op_t = cache.get(int(m)).matrix.T
+                        op_t = cache.get(int(m)).T
                         jac[:, rows] = jac[:, rows] @ op_t
 
             cum_mask |= masks
@@ -291,14 +266,16 @@ def _simulate(model: ConeModel, cfg: SimConfig, x0, j0_list):
     return times, z_out, ell_out, jac_out, mask_out, driver_out, taus
 
 
-def _build(cls, times, z, ell, jac, masks, driver, taus, cfg, p):
+def _build(run, cfg: SimConfig, p: int, rec: int | None = None):
+    """Trajectory of path ``p``; with ``rec`` set, joint with recursion ``rec``."""
+    times, z, ell, jac, masks, driver, taus = run
     kwargs = dict(times=times.copy(), z=z[p], ell=ell[p], face_log=masks[p],
                   tau_all_faces=np.asarray(taus[p], dtype=float),
                   seed=cfg.seed, stream=p, dt=cfg.dt,
                   driver=None if driver is None else driver[p])
-    if cls is JointTrajectory:
-        kwargs["jac"] = jac[0, p]
-    return cls(**kwargs)
+    if rec is None:
+        return Trajectory(**kwargs)
+    return JointTrajectory(**kwargs, jac=jac[rec, p])
 
 
 def simulate_rbm(model: ConeModel, cfg: SimConfig, x0=None) -> list[Trajectory]:
@@ -315,9 +292,8 @@ def simulate_rbm(model: ConeModel, cfg: SimConfig, x0=None) -> list[Trajectory]:
     -------
     list of Trajectory, one per path (stream p uses (cfg.seed, p)).
     """
-    times, z, ell, _, masks, driver, taus = _simulate(model, cfg, x0, [])
-    return [_build(Trajectory, times, z, ell, None, masks, driver, taus, cfg, p)
-            for p in range(cfg.n_paths)]
+    run = _simulate(model, cfg, x0, [])
+    return [_build(run, cfg, p) for p in range(cfg.n_paths)]
 
 
 def simulate_joint(model: ConeModel, cfg: SimConfig, x0=None,
@@ -328,9 +304,8 @@ def simulate_joint(model: ConeModel, cfg: SimConfig, x0=None,
     it defaults to zero, the natural start when the parameter does not
     move the initial point.
     """
-    times, z, ell, jac, masks, driver, taus = _simulate(model, cfg, x0, [j0])
-    return [_build(JointTrajectory, times, z, ell, jac, masks, driver, taus, cfg, p)
-            for p in range(cfg.n_paths)]
+    run = _simulate(model, cfg, x0, [j0])
+    return [_build(run, cfg, p, 0) for p in range(cfg.n_paths)]
 
 
 def simulate_joint_pair(model: ConeModel, cfg: SimConfig, x0=None,
@@ -342,17 +317,9 @@ def simulate_joint_pair(model: ConeModel, cfg: SimConfig, x0=None,
     their initial value.  Returns a list of (traj_a, traj_b) pairs
     whose difference isolates the projection-product contraction.
     """
-    times, z, ell, jac, masks, driver, taus = _simulate(model, cfg, x0,
-                                                       [j0_a, j0_b])
-    out = []
-    for p in range(cfg.n_paths):
-        base = dict(times=times.copy(), z=z[p], ell=ell[p], face_log=masks[p],
-                    tau_all_faces=np.asarray(taus[p], dtype=float),
-                    seed=cfg.seed, stream=p, dt=cfg.dt,
-                    driver=None if driver is None else driver[p])
-        out.append((JointTrajectory(**base, jac=jac[0, p]),
-                    JointTrajectory(**base, jac=jac[1, p])))
-    return out
+    run = _simulate(model, cfg, x0, [j0_a, j0_b])
+    return [(_build(run, cfg, p, 0), _build(run, cfg, p, 1))
+            for p in range(cfg.n_paths)]
 
 
 def visit_all_faces_time(traj: Trajectory) -> float | None:

@@ -152,8 +152,7 @@ def test_criterion_06_projection_algebra_all_scenarios():
         dim = model.dim
         for r in range(1, dim + 1):
             for faces in itertools.combinations(range(1, dim + 1), r):
-                op = derivative_projection(model, faces)
-                mat = op.matrix
+                mat = derivative_projection(model, faces)
                 worst["idem"] = max(worst["idem"],
                                     float(np.max(np.abs(mat @ mat - mat))))
                 normals_t = np.stack([model.normals[:, i - 1]
@@ -196,7 +195,7 @@ def test_criterion_07_covering_products_contract():
         for seq in sequences:
             product = np.identity(dim)
             for faces in seq:
-                product = cache.get(faces).matrix @ product
+                product = cache.get(faces) @ product
             worst_orthant = max(worst_orthant,
                                 float(np.max(np.abs(product))))
     delta0 = {name: estimate_delta0(builtin_scenario(name).model)

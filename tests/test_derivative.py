@@ -28,26 +28,31 @@ def all_nonempty_face_sets(dim):
 class TestDerivativeProjection:
     def test_orthant_single_face(self):
         op = derivative_projection(orthant_model(2), {1})
-        np.testing.assert_allclose(op.matrix, [[0.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_allclose(op, [[0.0, 0.0], [0.0, 1.0]])
 
     def test_triangular_single_face(self):
         op = derivative_projection(triangular_model(), {1})
-        np.testing.assert_allclose(op.matrix, [[0.0, 0.0], [0.5, 1.0]])
-        np.testing.assert_allclose(op([1.0, 1.0]), [0.0, 1.5])
+        np.testing.assert_allclose(op, [[0.0, 0.0], [0.5, 1.0]])
+        np.testing.assert_allclose(op @ [1.0, 1.0], [0.0, 1.5])
 
     def test_removal_lies_along_reflection(self):
         model = triangular_model()
         op = derivative_projection(model, {1})
         y = np.array([1.0, 1.0])
-        np.testing.assert_allclose(op(y) - y, -model.reflections[:, 0])
+        np.testing.assert_allclose(op @ y - y, -model.reflections[:, 0])
 
     def test_full_set_is_exact_zero(self):
         op = derivative_projection(triangular_model(), {1, 2})
-        assert (op.matrix == 0.0).all()
+        assert (op == 0.0).all()
 
     def test_empty_set_is_exact_identity(self):
         op = derivative_projection(triangular_model(), frozenset())
-        assert (op.matrix == np.identity(2)).all()
+        assert (op == np.identity(2)).all()
+
+    def test_matrix_is_read_only(self):
+        for faces in (frozenset(), {1}, {1, 2}):
+            op = derivative_projection(triangular_model(), faces)
+            assert not op.flags.writeable
 
     def test_rejects_out_of_range_face(self):
         with pytest.raises(ValueError):
@@ -57,14 +62,14 @@ class TestDerivativeProjection:
         for _ in range(10):
             model = random_cone_model(rng)
             for faces in all_nonempty_face_sets(model.dim):
-                m = derivative_projection(model, faces).matrix
+                m = derivative_projection(model, faces)
                 np.testing.assert_allclose(m @ m, m, atol=1e-10)
 
     def test_image_in_constraint_subspace(self, rng):
         for _ in range(10):
             model = random_cone_model(rng)
             for faces in all_nonempty_face_sets(model.dim):
-                m = derivative_projection(model, faces).matrix
+                m = derivative_projection(model, faces)
                 idx = sorted(i - 1 for i in faces)
                 gap = np.abs(model.normals[:, idx].T @ m).max()
                 assert gap <= 1e-10
@@ -74,7 +79,7 @@ class TestDerivativeProjection:
             model = random_cone_model(rng)
             dim = model.dim
             for faces in all_nonempty_face_sets(dim):
-                m = derivative_projection(model, faces).matrix
+                m = derivative_projection(model, faces)
                 idx = sorted(i - 1 for i in faces)
                 span = model.reflections[:, idx]
                 diff = m - np.identity(dim)
@@ -87,7 +92,7 @@ class TestDerivativeProjection:
             model = random_cone_model(rng)
             bnorm = build_b_norm(model)
             for faces in all_nonempty_face_sets(model.dim):
-                m = derivative_projection(model, faces).matrix
+                m = derivative_projection(model, faces)
                 assert bnorm.operator_norm(m) <= 1.0 + 1e-10
                 for _ in range(30):
                     y = rng.normal(size=model.dim)
@@ -98,11 +103,7 @@ class TestOperatorCache:
     def test_lookup_by_mask_and_by_set(self):
         cache = OperatorCache(triangular_model())
         assert cache.get(1) is cache.get({1})
-        np.testing.assert_allclose(cache[{1}].matrix, [[0.0, 0.0], [0.5, 1.0]])
-
-    def test_eager_for_small_models(self):
-        cache = OperatorCache(orthant_model(3))
-        assert len(cache._ops) == 8
+        np.testing.assert_allclose(cache.get({1}), [[0.0, 0.0], [0.5, 1.0]])
 
 
 class TestDerivativeStep:
@@ -224,7 +225,7 @@ class TestContractionProbe:
     def test_orthant_repeated_face_keeps_other_coordinate(self):
         model = orthant_model(2)
         bnorm = build_b_norm(model)
-        single = derivative_projection(model, {1}).matrix
+        single = derivative_projection(model, {1})
         probe = contraction_probe(model, [{1}, {1}])
         assert probe == pytest.approx(bnorm.operator_norm(single))
         assert probe == pytest.approx(1.0)

@@ -197,16 +197,6 @@ class TestFiniteHorizon:
 
 
 class TestFdOracle:
-    def test_mismatched_seed_rejected(self):
-        model = halfline_model(drift_deriv=1.0)
-        plus = perturbed_model(model, 0.05)
-        minus = perturbed_model(model, -0.05)
-        cfg = SimConfig(dt=0.01, horizon=5.0, seed=1)
-        other = SimConfig(dt=0.01, horizon=5.0, seed=2)
-        with pytest.raises(EstimationError, match="seed"):
-            fd_oracle(plus, minus, linear_functional([1.0]), cfg, 0.05,
-                      cfg_minus=other)
-
     def test_bad_epsilon_rejected(self):
         model = halfline_model(drift_deriv=1.0)
         cfg = SimConfig(dt=0.01, horizon=5.0)

@@ -8,6 +8,7 @@ import pytest
 from rbmsens.errors import ConvergenceError, DomainError
 from rbmsens.geometry import ConeModel
 from rbmsens.skorokhod import (
+    _LOOKAHEAD,
     DiscretePath,
     complementarity_gap,
     lcp_solve,
@@ -17,7 +18,8 @@ from rbmsens.skorokhod import (
     sp_step,
 )
 
-from conftest import halfline_model, orthant_model, random_cone_model, triangular_model
+from conftest import (halfline_model, hr2d_model, orthant_model, random_cone_model,
+                      triangular_model)
 
 
 def brownian_driver(rng, model, steps, dt, start=None):
@@ -208,6 +210,76 @@ class TestSpSolvePath:
             gap_f = np.abs(sub_f - sub_g).max()
             ratios.append(gap_h / gap_f)
         assert max(ratios) <= 3.0 * min(ratios) + 1e-12
+
+
+def sp_step_fold(model, driver):
+    """Reference path solve: ``sp_step`` applied to one increment at a time."""
+    f = driver.values
+    state, push = sp_step(model, np.zeros(model.dim), f[0])
+    h = [state]
+    ell = [push]
+    for k in range(len(driver) - 1):
+        state, push = sp_step(model, state, f[k + 1] - f[k])
+        h.append(state)
+        ell.append(ell[-1] + push)
+    return np.array(h), np.array(ell)
+
+
+def scheduled_driver(model, pushes, steps):
+    """Driver that moves away from every face except at ``pushes``.
+
+    Face heights rise by 1e-3 per step; at step k in ``pushes`` face
+    1 + (k mod J) drops by 2, far below zero, so exactly those steps
+    push.
+    """
+    dim = model.dim
+    heights = np.full((steps, dim), 1e-3)
+    for k in pushes:
+        heights[k, k % dim] = -2.0
+    incs = np.linalg.solve(model.normals.T, heights.T).T
+    start = np.linalg.solve(model.normals.T, np.full(dim, 0.5))
+    values = start + np.concatenate([np.zeros((1, dim)), np.cumsum(incs, axis=0)])
+    return DiscretePath(np.arange(steps + 1) * 0.01, values)
+
+
+class TestSpSolvePathMatchesStepFold:
+    """The look-ahead solver equals the per-step fold bit for bit."""
+
+    @pytest.fixture(params=["halfline", "hr2d", "random3d"])
+    def model(self, request, rng):
+        if request.param == "halfline":
+            return halfline_model()
+        if request.param == "hr2d":
+            return hr2d_model()
+        return random_cone_model(rng, dim=3)
+
+    def assert_matches_fold(self, model, driver):
+        result = sp_solve_path(model, driver)
+        h, ell = sp_step_fold(model, driver)
+        assert np.array_equal(result.constrained.values, h)
+        assert np.array_equal(result.local_time.values, ell)
+
+    def test_pushes_at_window_edges(self, model):
+        # A window opens at step 0 and after every push.  The pushes
+        # fall on the last step of the first window (offset L - 1), the
+        # first step of the next (offset 0), and after a free stretch
+        # of a full window (offset L from the previous window's start).
+        L = _LOOKAHEAD
+        pushes = [L - 1, L, 2 * L + 1]
+        driver = scheduled_driver(model, pushes, steps=5 * L)
+        pushed = np.flatnonzero(
+            (np.diff(sp_solve_path(model, driver).local_time.values, axis=0)
+             > 0.0).any(axis=1))
+        assert pushed.tolist() == pushes
+        self.assert_matches_fold(model, driver)
+
+    def test_brownian_drivers(self, model, rng):
+        for _ in range(3):
+            start = np.linalg.solve(model.normals.T,
+                                    rng.uniform(0.0, 0.3, size=model.dim))
+            driver = brownian_driver(rng, model, steps=2000, dt=0.01,
+                                     start=start)
+            self.assert_matches_fold(model, driver)
 
 
 class TestLyapunovM:

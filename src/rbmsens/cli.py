@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from typing import TextIO
 
 from .config import ScenarioConfig, builtin_scenario, load_config
 from .derivative import delta0_probes
@@ -25,9 +26,10 @@ from .errors import (ConfigError, ConvergenceError, DomainError,
 from .estimators import (REPORT_CSV_HEADER, SensitivityReport, fd_oracle,
                          ipa_sensitivity, stationary_estimate,
                          write_report_csv)
-from .geometry import (build_b_norm, drift_stability_check, perturbed_model,
+from .geometry import (ConeModel, drift_stability_check, perturbed_model,
                        validate_cone)
-from .sim import simulate_joint, simulate_rbm, write_trajectory_csv
+from .sim import (open_text_target, simulate_joint, simulate_rbm,
+                  write_trajectory_csv)
 from .skorokhod import lyapunov_m
 
 COMMANDS = ("check", "simulate", "stationary", "sensitivity", "contraction",
@@ -38,6 +40,9 @@ EXIT_CONFIG = 2
 EXIT_GEOMETRY = 3
 EXIT_CONVERGENCE = 4
 EXIT_ESTIMATION = 5
+
+#: Where a command writes: the --out path, or stdout when it is omitted.
+Target = str | TextIO
 
 
 def _load_scenario(spec: str) -> ScenarioConfig:
@@ -66,28 +71,7 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
     return cfg
 
 
-class _Output:
-    """Route text to --out or stdout; never both."""
-
-    def __init__(self, path: str | None):
-        self.path = path
-
-    def write(self, text: str) -> None:
-        if self.path is None:
-            sys.stdout.write(text)
-        else:
-            with open(self.path, "w", newline="") as fh:
-                fh.write(text)
-
-    def write_with(self, writer) -> None:
-        if self.path is None:
-            writer(sys.stdout)
-        else:
-            with open(self.path, "w", newline="") as fh:
-                writer(fh)
-
-
-def _cmd_check(cfg: ScenarioConfig, out: _Output) -> int:
+def _cmd_check(cfg: ScenarioConfig, out: Target) -> int:
     report = validate_cone(cfg.model)
     stable, w = drift_stability_check(cfg.model)
     lines = [report.summary()]
@@ -95,58 +79,72 @@ def _cmd_check(cfg: ScenarioConfig, out: _Output) -> int:
                  f"w={' '.join(f'{v:.6g}' for v in w)}")
     accepted = report.accepted and stable
     lines.append("accepted" if accepted else "rejected")
-    out.write("\n".join(lines) + "\n")
+    with open_text_target(out) as fh:
+        fh.write("\n".join(lines) + "\n")
     return EXIT_OK if accepted else EXIT_GEOMETRY
 
 
-def _cmd_simulate(cfg: ScenarioConfig, out: _Output) -> int:
+def _cmd_simulate(cfg: ScenarioConfig, out: Target) -> int:
     trajs = simulate_joint(cfg.model, cfg.sim, x0=cfg.x0, j0=cfg.j0)
-    if out.path is None:
-        write_trajectory_csv(sys.stdout, trajs[0])
+    if not isinstance(out, str):
+        write_trajectory_csv(out, trajs[0])
         if len(trajs) > 1:
             print(f"# {len(trajs) - 1} further paths not shown; "
                   "use --out to write every stream", file=sys.stderr)
         return EXIT_OK
-    stem, dot, ext = out.path.rpartition(".")
-    base = stem if dot else out.path
+    stem, dot, ext = out.rpartition(".")
+    base = stem if dot else out
     suffix = f".{ext}" if dot else ""
     for p, traj in enumerate(trajs):
-        target = out.path if p == 0 else f"{base}_p{p}{suffix}"
+        target = out if p == 0 else f"{base}_p{p}{suffix}"
         write_trajectory_csv(target, traj)
     return EXIT_OK
 
 
-def _cmd_stationary(cfg: ScenarioConfig, out: _Output) -> int:
-    trajs = simulate_rbm(cfg.model, cfg.sim, x0=cfg.x0)
-    estimate, stderr = stationary_estimate(cfg.functional(), trajs,
+def _stationary_report(cfg: ScenarioConfig, model: ConeModel,
+                       functional) -> SensitivityReport:
+    """Stationary mean of ``functional`` under ``model`` with cfg's run knobs."""
+    trajs = simulate_rbm(model, cfg.sim, x0=cfg.x0)
+    estimate, stderr = stationary_estimate(functional, trajs,
                                            burn_in=cfg.sim.burn_in)
-    report = SensitivityReport(
+    return SensitivityReport(
         estimate=estimate, stderr=stderr, n_paths=cfg.sim.n_paths,
         method="stationary", horizon=cfg.sim.horizon, burn_in=cfg.sim.burn_in,
         dt=cfg.sim.dt, seed=cfg.sim.seed)
-    out.write_with(lambda fh: write_report_csv(fh, [report]))
+
+
+def _validated_shift(model: ConeModel, alpha: float, what: str) -> ConeModel:
+    """The model shifted by ``alpha``; GeometryError if it leaves the regime."""
+    shifted = perturbed_model(model, alpha)
+    report = validate_cone(shifted)
+    if not report.accepted:
+        raise GeometryError(f"{what} leaves the accepted regime:\n"
+                            + report.summary())
+    return shifted
+
+
+def _cmd_stationary(cfg: ScenarioConfig, out: Target) -> int:
+    report = _stationary_report(cfg, cfg.model, cfg.functional())
+    write_report_csv(out, [report])
     return EXIT_OK
 
 
-def _cmd_sensitivity(cfg: ScenarioConfig, out: _Output) -> int:
+def _cmd_sensitivity(cfg: ScenarioConfig, out: Target) -> int:
     functional = cfg.functional()
     trajs = simulate_joint(cfg.model, cfg.sim, x0=cfg.x0, j0=cfg.j0)
     reports = [ipa_sensitivity(functional, trajs, burn_in=cfg.sim.burn_in)]
     for eps in (cfg.fd_epsilon, cfg.fd_epsilon / 2.0):
-        plus = perturbed_model(cfg.model, eps)
-        minus = perturbed_model(cfg.model, -eps)
-        for shifted in (plus, minus):
-            shifted_report = validate_cone(shifted)
-            if not shifted_report.accepted:
-                raise GeometryError(
-                    f"finite-difference shift epsilon={eps:g} leaves the "
-                    "accepted regime; reduce fd_epsilon")
+        plus, minus = [
+            _validated_shift(cfg.model, alpha,
+                             f"finite-difference shift {alpha:+g} "
+                             "(reduce fd_epsilon)")
+            for alpha in (eps, -eps)]
         reports.append(fd_oracle(plus, minus, functional, cfg.sim, eps))
-    out.write_with(lambda fh: write_report_csv(fh, reports))
+    write_report_csv(out, reports)
     return EXIT_OK
 
 
-def _cmd_contraction(cfg: ScenarioConfig, out: _Output) -> int:
+def _cmd_contraction(cfg: ScenarioConfig, out: Target) -> int:
     report = validate_cone(cfg.model)
     if not report.accepted:
         raise GeometryError("model rejected; contraction probes are only "
@@ -154,48 +152,32 @@ def _cmd_contraction(cfg: ScenarioConfig, out: _Output) -> int:
                             + report.summary())
     table = delta0_probes(cfg.model, n_sequences=200, seed=cfg.sim.seed)
     delta0 = max(value for _, value in table)
-
-    def render(fh):
+    with open_text_target(out) as fh:
         fh.write(f"# delta0 = {delta0:.17g}\n")
         fh.write("sequence,norm\n")
         for seq, value in table:
             label = ">".join("+".join(str(i) for i in sorted(s)) for s in seq)
             fh.write(f"{label},{value:.17g}\n")
-
-    out.write_with(render)
     return EXIT_OK
 
 
-def _cmd_lyapunov(cfg: ScenarioConfig, out: _Output) -> int:
+def _cmd_lyapunov(cfg: ScenarioConfig, out: Target) -> int:
     value = lyapunov_m(cfg.model, cfg.x0, dt=cfg.sim.dt)
-    out.write(f"return_time\n{value:.17g}\n")
+    with open_text_target(out) as fh:
+        fh.write(f"return_time\n{value:.17g}\n")
     return EXIT_OK
 
 
-def _cmd_sweep(cfg: ScenarioConfig, out: _Output) -> int:
+def _cmd_sweep(cfg: ScenarioConfig, out: Target) -> int:
     functional = cfg.functional()
     rows = []
     for offset in cfg.sweep_offsets:
-        shifted = perturbed_model(cfg.model, offset)
-        report = validate_cone(shifted)
-        if not report.accepted:
-            raise GeometryError(
-                f"sweep offset {offset:g} leaves the accepted regime:\n"
-                + report.summary())
-        trajs = simulate_rbm(shifted, cfg.sim, x0=cfg.x0)
-        estimate, stderr = stationary_estimate(functional, trajs,
-                                               burn_in=cfg.sim.burn_in)
-        rows.append((offset, SensitivityReport(
-            estimate=estimate, stderr=stderr, n_paths=cfg.sim.n_paths,
-            method="stationary", horizon=cfg.sim.horizon,
-            burn_in=cfg.sim.burn_in, dt=cfg.sim.dt, seed=cfg.sim.seed)))
-
-    def render(fh):
+        shifted = _validated_shift(cfg.model, offset, f"sweep offset {offset:g}")
+        rows.append((offset, _stationary_report(cfg, shifted, functional)))
+    with open_text_target(out) as fh:
         fh.write("alpha," + REPORT_CSV_HEADER + "\n")
         for offset, report in rows:
             fh.write(f"{offset:.17g},{report.csv_row()}\n")
-
-    out.write_with(render)
     return EXIT_OK
 
 
@@ -236,7 +218,8 @@ def main(argv=None) -> int:
     try:
         cfg = _load_scenario(args.config)
         cfg = _apply_overrides(cfg, args)
-        return _HANDLERS[args.command](cfg, _Output(args.out))
+        out = sys.stdout if args.out is None else args.out
+        return _HANDLERS[args.command](cfg, out)
     except ConfigError as err:
         for problem in err.problems:
             print(f"config error: {problem}", file=sys.stderr)

@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import EstimationError
 from .geometry import ConeModel
-from .sim import JointTrajectory, SimConfig, Trajectory, simulate_rbm
+from .sim import (JointTrajectory, SimConfig, Trajectory, open_text_target,
+                  simulate_rbm)
 
 __all__ = [
     "Functional",
@@ -137,19 +138,10 @@ class SensitivityReport:
 
 def write_report_csv(target, reports) -> None:
     """Write sensitivity/stationary reports under the standard header."""
-    close = False
-    if isinstance(target, (str, bytes)):
-        fh = open(target, "w", newline="")
-        close = True
-    else:
-        fh = target
-    try:
+    with open_text_target(target) as fh:
         fh.write(REPORT_CSV_HEADER + "\n")
         for report in reports:
             fh.write(report.csv_row() + "\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def batch_means(samples, n_batches: int = DEFAULT_BATCHES) -> tuple[float, float]:

@@ -19,9 +19,9 @@ vector v = (N^T R)^{-1} 1 is strictly positive and defines the norm
 whose unit ball is the polytope R diag(v) [-1, 1]^J.  All contraction
 estimates elsewhere in the package measure vectors in this norm.
 
-This module owns the model container, validation, the spectral-radius
-routine used by validation, the norm construction, active-face lookup,
-and the drift stability test.
+This module owns the model container, validation (rho(Q) is the
+largest eigenvalue modulus from ``np.linalg.eigvals``), the norm
+construction, active-face lookup, and the drift stability test.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, GeometryError
+from .errors import DomainError, GeometryError
 
 logger = logging.getLogger(__name__)
 
@@ -222,39 +222,21 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def spectral_radius(mat, tol: float = 1e-8, max_iter: int = 50_000) -> float:
+def spectral_radius(mat) -> float:
     """Spectral radius of an entrywise nonnegative square matrix.
 
-    Uses power iteration with a diagonal shift: for nonnegative Q and
-    tau > 0 the matrix Q + tau E is again nonnegative with spectral
-    radius rho(Q) + tau, and its dominant eigenvalue is reachable from
-    the strictly positive start vector 1/J.  The Collatz-Wielandt
-    ratios min_i (Mx)_i / x_i <= rho(M) <= max_i (Mx)_i / x_i bracket
-    the answer at every step and provide a certified stopping rule.
-    Matrices that annihilate the start vector in at most J multiplies
-    are nilpotent on its orbit and return 0 immediately; without that
-    screen no power scheme attains the requested accuracy on them.
+    Returns max |lambda| over the eigenvalues from ``np.linalg.eigvals``.
 
     Parameters
     ----------
     mat : (J, J) array_like
         Nonnegative matrix.  Entries below -1e-9 raise ValueError;
         tiny negative noise is clipped to zero.
-    tol : float
-        Relative half-width at which the bracket is accepted.
-    max_iter : int
-        Iteration budget.
-
-    Returns
-    -------
-    float
-        rho(mat), accurate to ``tol`` relative.
 
     Raises
     ------
-    ConvergenceError
-        If the bracket has not closed within ``max_iter`` iterations;
-        the error carries the last bracket midpoint and width.
+    numpy.linalg.LinAlgError
+        If the eigenvalue computation does not converge.
     """
     Q = np.array(mat, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
@@ -262,43 +244,7 @@ def spectral_radius(mat, tol: float = 1e-8, max_iter: int = 50_000) -> float:
     if Q.size and Q.min() < -1e-9:
         raise ValueError(f"matrix has negative entries (min {Q.min():.3e})")
     Q = np.maximum(Q, 0.0)
-    n = Q.shape[0]
-
-    y = np.ones(n)
-    for _ in range(n):
-        y = Q @ y
-        if not y.any():
-            return 0.0
-
-    tau = float(Q.sum(axis=1).max())
-    x = np.full(n, 1.0 / n)
-    prev_upper = np.inf
-    stalled = 0
-    mid = width = np.nan
-    for iteration in range(1, max_iter + 1):
-        z = Q @ x + tau * x
-        ratios = z / x
-        lower = float(ratios.min())
-        upper = float(ratios.max())
-        mid = 0.5 * (upper + lower) - tau
-        width = upper - lower
-        if width <= tol * max(upper, 1e-300):
-            return max(mid, 0.0)
-        # Exact stall: for matrices whose dominant block the start
-        # vector already spans (e.g. diagonal Q), the upper ratio is
-        # the answer and never moves again.
-        if abs(upper - prev_upper) <= 1e-14 * upper:
-            stalled += 1
-            if stalled >= 8:
-                return max(upper - tau, 0.0)
-        else:
-            stalled = 0
-        prev_upper = upper
-        x = z / z.sum()
-    raise ConvergenceError(
-        "spectral radius bracket did not close",
-        iterations=max_iter, residual=width, last=max(mid, 0.0),
-    )
+    return float(np.abs(np.linalg.eigvals(Q)).max())
 
 
 def validate_cone(model: ConeModel, tol: float = 1e-12) -> ValidationReport:
@@ -340,10 +286,10 @@ def validate_cone(model: ConeModel, tol: float = 1e-12) -> ValidationReport:
             checks.append(CheckResult(
                 "q-spectral-radius", rho < 1.0, rho,
                 "" if rho < 1.0 else "pushing couplings are not contracting"))
-        except ConvergenceError as err:
+        except np.linalg.LinAlgError as err:
             checks.append(CheckResult(
-                "q-spectral-radius", False, err.last,
-                f"spectral radius estimate did not converge: {err}"))
+                "q-spectral-radius", False, None,
+                f"eigenvalue computation did not converge: {err}"))
     else:
         checks.append(CheckResult(
             "q-nonnegative", False, None, "skipped: normals are singular"))

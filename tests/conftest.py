@@ -54,6 +54,22 @@ def hr2d_model(drift_deriv=(1.0, 0.0)) -> ConeModel:
     )
 
 
+def paired_five_face_model() -> ConeModel:
+    """Five-face orthant cone with rho(Q) = 0.5 and a zero fifth row of Q.
+
+    Q couples faces 1-2 at 0.5, faces 3-4 at 0.4999, and face 1 to
+    face 3 at 0.1; R = E - Q, drift -1, dispersion E.  The zero row
+    pins the Collatz-Wielandt lower bound of Q at 0, so a power
+    iteration bracketed by those ratios never closes on this model.
+    """
+    q = np.zeros((5, 5))
+    q[0, 1] = q[1, 0] = 0.5
+    q[2, 3] = q[3, 2] = 0.4999
+    q[0, 2] = 0.1
+    return ConeModel(normals=np.identity(5), reflections=np.identity(5) - q,
+                     drift=-np.ones(5), dispersion=np.identity(5))
+
+
 def random_cone_model(rng: np.random.Generator, dim: int | None = None,
                       rho_cap: float = 0.8, oblique_normals: bool = True,
                       with_derivs: bool = False) -> ConeModel:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from rbmsens.config import (
 from rbmsens.errors import ConfigError
 from rbmsens.estimators import gradient_check
 from rbmsens.geometry import drift_stability_check, validate_cone
+
+from conftest import paired_five_face_model
 
 MINIMAL = """\
 [geometry]
@@ -180,6 +184,17 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 3
         assert "rejected" in captured.out
+
+    def test_check_accepts_zero_row_five_face_cone(self, tmp_path, capsys):
+        sc = replace(builtin_scenario("ortho2d"), model=paired_five_face_model(),
+                     x0=np.zeros(5), j0=np.zeros(5),
+                     functional_coefficients=np.ones(5))
+        path = tmp_path / "five.cfg"
+        path.write_text(emit_config(sc))
+        code = main(["--config", str(path), "--command", "check"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.out + captured.err
+        assert captured.out.endswith("accepted\n")
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "broken.cfg"

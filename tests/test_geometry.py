@@ -19,7 +19,9 @@ from rbmsens.geometry import (
     validate_cone,
 )
 
-from conftest import halfline_model, hr2d_model, orthant_model, random_cone_model, triangular_model
+from conftest import (halfline_model, hr2d_model, orthant_model,
+                      paired_five_face_model, random_cone_model,
+                      triangular_model)
 
 
 class TestConeModel:
@@ -117,6 +119,12 @@ class TestValidateCone:
         by_name = {c.name: c for c in report.checks}
         assert by_name["q-spectral-radius"].value == pytest.approx(2.0, rel=1e-8)
         assert not by_name["q-spectral-radius"].passed
+
+    def test_zero_row_five_face_cone_accepted(self):
+        report = validate_cone(paired_five_face_model())
+        assert report.accepted, report.summary()
+        by_name = {c.name: c for c in report.checks}
+        assert by_name["q-spectral-radius"].value == pytest.approx(0.5, rel=1e-12)
 
     def test_singular_normals_reported_not_raised(self):
         u = np.array([1.0, 0.0])

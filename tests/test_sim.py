@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 
+from rbmsens import sim
 from rbmsens.derivative import (
     DerivativeState,
     OperatorCache,
@@ -29,6 +32,10 @@ from rbmsens.sim import (
 from rbmsens.skorokhod import sp_step
 
 from conftest import halfline_model, hr2d_model, orthant_model, random_cone_model
+
+
+def _joint_arrays(traj):
+    return (traj.z, traj.ell, traj.jac, traj.face_log, traj.tau_all_faces)
 
 
 class TestRngContract:
@@ -78,6 +85,27 @@ class TestSimulateRbm:
             np.testing.assert_array_equal(t1.z, t2.z)
             np.testing.assert_array_equal(t1.ell, t2.ell)
             np.testing.assert_array_equal(t1.face_log, t2.face_log)
+
+    def test_chunk_size_does_not_change_results(self, monkeypatch):
+        model = hr2d_model()
+        cfg = SimConfig(dt=0.01, horizon=5.0, seed=11, n_paths=3, decimate=3)
+        default = simulate_joint(model, cfg)
+        monkeypatch.setattr(sim, "CHUNK_STEPS", 7)
+        chunked = simulate_joint(model, cfg)
+        for a, b in zip(default, chunked):
+            for x, y in zip(_joint_arrays(a), _joint_arrays(b)):
+                np.testing.assert_array_equal(x, y)
+
+    def test_path_count_changes_path_zero_at_rounding_level_only(self):
+        model = hr2d_model()
+        one, eight = (
+            simulate_joint(model, SimConfig(dt=5e-4, horizon=2.0,
+                                            seed=20260824, n_paths=n))[0]
+            for n in (1, 8))
+        for x, y in zip(_joint_arrays(one)[:3], _joint_arrays(eight)[:3]):
+            np.testing.assert_allclose(x, y, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(one.face_log, eight.face_log)
+        np.testing.assert_array_equal(one.tau_all_faces, eight.tau_all_faces)
 
     def test_noise_free_decay_and_absorption(self):
         model = halfline_model(drift=-1.0, sigma=0.0)
@@ -222,6 +250,32 @@ class TestSimulateJoint:
         assert lines[0].startswith("#")
         assert lines[1] == "t,Z_1,Z_2,J_1,J_2,L_1,L_2,faces"
         assert len(lines) == 2 + traj.times.shape[0]
+
+    @pytest.mark.parametrize("joint", [False, True])
+    @pytest.mark.parametrize("to_path", [False, True])
+    def test_csv_body_matches_per_value_formatting(self, tmp_path, joint,
+                                                   to_path):
+        model = hr2d_model()
+        cfg = SimConfig(dt=0.01, horizon=2.0, seed=5)
+        run = simulate_joint if joint else simulate_rbm
+        traj = run(model, cfg)[0]
+        if to_path:
+            out = tmp_path / "traj.csv"
+            write_trajectory_csv(str(out), traj)
+            text = out.read_text()
+        else:
+            stream = io.StringIO()
+            write_trajectory_csv(stream, traj)
+            text = stream.getvalue()
+        blocks = [traj.z, traj.jac, traj.ell] if joint else [traj.z, traj.ell]
+        expected = []
+        for idx in range(traj.times.shape[0]):
+            row = [f"{traj.times[idx]:.17g}"]
+            for block in blocks:
+                row += [f"{val:.17g}" for val in block[idx]]
+            row.append(str(int(traj.face_log[idx])))
+            expected.append(",".join(row) + "\n")
+        assert text.splitlines(keepends=True)[2:] == expected
 
     def test_csv_bodies_byte_identical(self, tmp_path):
         model = hr2d_model()

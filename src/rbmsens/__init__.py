@@ -21,9 +21,10 @@ from .derivative import (DerivativeState, OperatorCache, contraction_probe,
                          subspace_gap)
 from .sim import (JointTrajectory, RngContract, SimConfig, Trajectory,
                   brownian_increments, simulate_joint, simulate_joint_pair,
-                  simulate_rbm, visit_all_faces_time, write_trajectory_csv)
+                  simulate_rbm, simulate_variants, visit_all_faces_time,
+                  write_trajectory_csv)
 from .estimators import (Functional, SensitivityReport, batch_means,
-                         fd_oracle, finite_horizon_sensitivity,
+                         fd_oracle, fd_report, finite_horizon_sensitivity,
                          gradient_check, ipa_sensitivity, linear_functional,
                          log1p_sum_functional, stationary_estimate,
                          write_report_csv)

@@ -23,13 +23,14 @@ from .config import ScenarioConfig, builtin_scenario, load_config
 from .derivative import delta0_probes
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      EstimationError, GeometryError, RbmError)
-from .estimators import (REPORT_CSV_HEADER, SensitivityReport, fd_oracle,
+from .estimators import (REPORT_CSV_HEADER, SensitivityReport, fd_report,
                          ipa_sensitivity, stationary_estimate,
                          write_report_csv)
+from .estimators import fd_oracle  # noqa: F401  (bench/spans.py wraps this name)
 from .geometry import (ConeModel, drift_stability_check, perturbed_model,
                        validate_cone)
 from .sim import (open_text_target, simulate_joint, simulate_rbm,
-                  write_trajectory_csv)
+                  simulate_variants, write_trajectory_csv)
 from .skorokhod import lyapunov_m
 
 COMMANDS = ("check", "simulate", "stationary", "sensitivity", "contraction",
@@ -101,10 +102,9 @@ def _cmd_simulate(cfg: ScenarioConfig, out: Target) -> int:
     return EXIT_OK
 
 
-def _stationary_report(cfg: ScenarioConfig, model: ConeModel,
-                       functional) -> SensitivityReport:
-    """Stationary mean of ``functional`` under ``model`` with cfg's run knobs."""
-    trajs = simulate_rbm(model, cfg.sim, x0=cfg.x0)
+def _stationary_report(cfg: ScenarioConfig, functional,
+                       trajs) -> SensitivityReport:
+    """Stationary mean of ``functional`` over ``trajs``, run with cfg's knobs."""
     estimate, stderr = stationary_estimate(functional, trajs,
                                            burn_in=cfg.sim.burn_in)
     return SensitivityReport(
@@ -124,22 +124,28 @@ def _validated_shift(model: ConeModel, alpha: float, what: str) -> ConeModel:
 
 
 def _cmd_stationary(cfg: ScenarioConfig, out: Target) -> int:
-    report = _stationary_report(cfg, cfg.model, cfg.functional())
-    write_report_csv(out, [report])
+    trajs = simulate_rbm(cfg.model, cfg.sim, x0=cfg.x0)
+    write_report_csv(out, [_stationary_report(cfg, cfg.functional(), trajs)])
     return EXIT_OK
 
 
 def _cmd_sensitivity(cfg: ScenarioConfig, out: Target) -> int:
+    """IPA plus CRN finite differences at eps and eps/2, in one pass.
+
+    The base model (with the derivative recursion) and its four shifts
+    +eps, -eps, +eps/2, -eps/2 run as variants on the same noise.
+    """
     functional = cfg.functional()
-    trajs = simulate_joint(cfg.model, cfg.sim, x0=cfg.x0, j0=cfg.j0)
-    reports = [ipa_sensitivity(functional, trajs, burn_in=cfg.sim.burn_in)]
-    for eps in (cfg.fd_epsilon, cfg.fd_epsilon / 2.0):
-        plus, minus = [
-            _validated_shift(cfg.model, alpha,
-                             f"finite-difference shift {alpha:+g} "
-                             "(reduce fd_epsilon)")
-            for alpha in (eps, -eps)]
-        reports.append(fd_oracle(plus, minus, functional, cfg.sim, eps))
+    epsilons = (cfg.fd_epsilon, cfg.fd_epsilon / 2.0)
+    shifted = [_validated_shift(cfg.model, alpha,
+                                f"finite-difference shift {alpha:+g} "
+                                "(reduce fd_epsilon)")
+               for eps in epsilons for alpha in (eps, -eps)]
+    joint, *fd_runs = simulate_variants([cfg.model, *shifted], cfg.sim,
+                                        x0=cfg.x0, j0=cfg.j0, joint=True)
+    reports = [ipa_sensitivity(functional, joint, burn_in=cfg.sim.burn_in)]
+    for eps, plus, minus in zip(epsilons, fd_runs[0::2], fd_runs[1::2]):
+        reports.append(fd_report(functional, plus, minus, cfg.sim, eps))
     write_report_csv(out, reports)
     return EXIT_OK
 
@@ -169,14 +175,16 @@ def _cmd_lyapunov(cfg: ScenarioConfig, out: Target) -> int:
 
 
 def _cmd_sweep(cfg: ScenarioConfig, out: Target) -> int:
+    """Stationary estimate at every offset; all offsets run in one pass."""
     functional = cfg.functional()
-    rows = []
-    for offset in cfg.sweep_offsets:
-        shifted = _validated_shift(cfg.model, offset, f"sweep offset {offset:g}")
-        rows.append((offset, _stationary_report(cfg, shifted, functional)))
+    offsets = cfg.sweep_offsets
+    shifted = [_validated_shift(cfg.model, offset, f"sweep offset {offset:g}")
+               for offset in offsets]
+    runs = simulate_variants(shifted, cfg.sim, x0=cfg.x0)
     with open_text_target(out) as fh:
         fh.write("alpha," + REPORT_CSV_HEADER + "\n")
-        for offset, report in rows:
+        for offset, trajs in zip(offsets, runs):
+            report = _stationary_report(cfg, functional, trajs)
             fh.write(f"{offset:.17g},{report.csv_row()}\n")
     return EXIT_OK
 

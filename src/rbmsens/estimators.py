@@ -23,7 +23,8 @@ import numpy as np
 from .errors import EstimationError
 from .geometry import ConeModel
 from .sim import (JointTrajectory, SimConfig, Trajectory, open_text_target,
-                  simulate_rbm)
+                  simulate_variants)
+from .sim import simulate_rbm  # noqa: F401  (bench/spans.py wraps this name)
 
 __all__ = [
     "Functional",
@@ -36,6 +37,7 @@ __all__ = [
     "ipa_sensitivity",
     "finite_horizon_sensitivity",
     "fd_oracle",
+    "fd_report",
     "REPORT_CSV_HEADER",
     "write_report_csv",
 ]
@@ -263,31 +265,21 @@ def finite_horizon_sensitivity(running: Functional | None,
     return total
 
 
-def fd_oracle(model_plus: ConeModel, model_minus: ConeModel,
-              functional: Functional, cfg: SimConfig, epsilon: float,
+def fd_report(functional: Functional, plus, minus, cfg: SimConfig,
+              epsilon: float,
               n_batches: int = DEFAULT_BATCHES) -> SensitivityReport:
-    """Central finite difference under common random numbers.
+    """Central finite difference of paired runs of the two shifted models.
 
-    Simulates the two pre-shifted models on the one configuration
-    ``cfg``, so both see identical streams, and differences the
-    stationary estimates path by path:
+    ``plus`` and ``minus`` are the trajectories of the models shifted
+    by +epsilon and -epsilon, run on ``cfg`` with common random
+    numbers (path p of each from the same stream).  The stationary
+    estimates are differenced path by path,
 
-        [F(alpha + eps) - F(alpha - eps)] / (2 eps).
+        [F(alpha + eps) - F(alpha - eps)] / (2 eps),
 
-    The caller builds the shifted models (``perturbed_model`` with
-    +epsilon and -epsilon); the report carries the paired standard
-    error, which is what makes the comparison to the pathwise estimate
-    fair.
-
-    Raises
-    ------
-    EstimationError
-        When ``epsilon`` is not positive.
+    and the report carries the paired standard error, which is what
+    makes the comparison to the pathwise estimate fair.
     """
-    if epsilon <= 0.0:
-        raise EstimationError(f"epsilon must be positive, got {epsilon}")
-    plus = simulate_rbm(model_plus, cfg)
-    minus = simulate_rbm(model_minus, cfg)
     diffs = []
     for tp, tm in zip(plus, minus):
         vp = _tail_values(tp, np.asarray(functional.f(tp.z), dtype=float),
@@ -300,3 +292,26 @@ def fd_oracle(model_plus: ConeModel, model_minus: ConeModel,
         estimate=estimate, stderr=stderr, n_paths=cfg.n_paths, method="fd-crn",
         horizon=cfg.horizon, burn_in=cfg.burn_in, dt=cfg.dt, seed=cfg.seed,
         fd_epsilon=epsilon)
+
+
+def fd_oracle(model_plus: ConeModel, model_minus: ConeModel,
+              functional: Functional, cfg: SimConfig, epsilon: float,
+              n_batches: int = DEFAULT_BATCHES) -> SensitivityReport:
+    """Central finite difference under common random numbers.
+
+    Simulates the two pre-shifted models in one ``simulate_variants``
+    pass on the configuration ``cfg``, so both see identical streams,
+    and reduces them with ``fd_report``.  The caller builds the shifted
+    models (``perturbed_model`` with +epsilon and -epsilon).
+
+    Raises
+    ------
+    EstimationError
+        When ``epsilon`` is not positive.
+    GeometryError
+        When the two models do not share one cone.
+    """
+    if epsilon <= 0.0:
+        raise EstimationError(f"epsilon must be positive, got {epsilon}")
+    plus, minus = simulate_variants((model_plus, model_minus), cfg)
+    return fd_report(functional, plus, minus, cfg, epsilon, n_batches)

@@ -5,15 +5,22 @@ cone through the complementarity solve, then advances the derivative:
 free increment first, projection onto the constraint subspace of the
 faces active after the move.  All paths of a run advance together in a
 (paths, coordinates) block, and every path owns its own random stream.
+A run can also carry several model variants of one cone (the same
+dimension and normals, e.g. ``perturbed_model`` shifts): they form a
+leading batch axis, every variant is driven by the same increments,
+and the derivative recursion follows the first variant.
 
 Determinism contract: increments for path p come from the stream
-``SeedSequence(seed, spawn_key=(p,))`` in draw order.  A configuration
-(seed, dt, horizon, path count) reproduces trajectories bit-exactly,
-regardless of the chunk size ``CHUNK_STEPS`` used internally.  Across
-path counts, path p sees the same increments but agrees only to
-rounding level: the reflection solve iterates the whole block until its
-largest update is small, so the paths sharing a call can change the
-last bits of a push (about 1e-13 on hr2d), and with them a face
+``SeedSequence(seed, spawn_key=(p,))`` in draw order, and every variant
+of a run sees path p's stream.  A configuration (seed, dt, horizon,
+path count, variants) reproduces trajectories bit-exactly, regardless
+of the chunk size ``CHUNK_STEPS`` used internally; a one-variant run
+(``simulate_rbm``, ``simulate_joint``, ``simulate_joint_pair``) is the
+same computation it always was.  Across path counts, and between a
+variant and its own single-model run, results agree only to rounding
+level: the reflection solve iterates the whole block until its largest
+update is small, so the paths and variants sharing a call can change
+the last bits of a push (about 1e-13 on hr2d), and with them a face
 activity test whose height lies within rounding of its threshold.
 """
 
@@ -24,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, GeometryError
 from .geometry import ConeModel, active_faces
 from .derivative import OperatorCache, subspace_gap
 from .skorokhod import _couplings, _least_push
@@ -38,6 +45,7 @@ __all__ = [
     "simulate_rbm",
     "simulate_joint",
     "simulate_joint_pair",
+    "simulate_variants",
     "visit_all_faces_time",
     "write_trajectory_csv",
 ]
@@ -45,6 +53,11 @@ __all__ = [
 #: Steps per internal chunk; increments are drawn and drift terms
 #: precomputed one chunk at a time.  Chunking never changes results.
 CHUNK_STEPS = 4096
+
+#: Largest normal-vector difference between variants of one cone.
+#: ``perturbed_model`` keeps the normals, but re-normalizing a unit
+#: column can move its last bit.
+NORMALS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -109,6 +122,7 @@ class Trajectory:
     for face i); ``tau_all_faces`` lists the completion times at which
     the running union of visited faces reached every face, union reset
     to the completing step's active set after each completion.
+    ``times`` is one read-only grid shared by every trajectory of a run.
     """
 
     times: np.ndarray
@@ -146,16 +160,42 @@ def brownian_increments(rng: RngContract | np.random.Generator,
     return gen.standard_normal((n_steps, dim)) * np.sqrt(dt)
 
 
-def _simulate(model: ConeModel, cfg: SimConfig, x0, j0_list):
-    """Shared engine; j0_list carries zero or more derivative starts."""
+def _same_cone(models) -> None:
+    """Raise GeometryError unless every variant has the first one's cone."""
+    first = models[0]
+    for v, other in enumerate(models[1:], start=1):
+        if other.dim != first.dim:
+            raise GeometryError(
+                f"model variant {v} has dimension {other.dim}, variant 0 "
+                f"has {first.dim}; variants must share one cone")
+        gap = float(np.abs(other.normals - first.normals).max())
+        if gap > NORMALS_TOL:
+            raise GeometryError(
+                f"model variant {v} has other normals than variant 0 "
+                f"(max difference {gap:.3e}); variants must share one cone")
+
+
+def _simulate(models, cfg: SimConfig, x0, j0_list):
+    """Shared engine over a tuple of model variants of one cone.
+
+    Arrays carry a leading variant axis: state and push blocks are
+    (variants, paths, J) and each variant's drift, dispersion,
+    reflections and Q are stacked (variants, J, J).  ``j0_list``
+    carries zero or more derivative starts; the recursions follow the
+    first variant.
+    """
+    _same_cone(models)
+    model = models[0]
     dim = model.dim
+    n_var = len(models)
     n_paths = cfg.n_paths
     n_rec = len(j0_list)
 
     x0 = np.zeros(dim) if x0 is None else np.asarray(x0, dtype=float)
     if x0.shape != (dim,):
         raise DomainError(f"x0 must have shape ({dim},), got {x0.shape}")
-    active_faces(model, x0, cfg.face_tol * (1.0 + float(np.linalg.norm(x0))))
+    tol0 = cfg.face_tol * (1.0 + float(np.linalg.norm(x0)))
+    active_faces(model, x0, tol0)
     j0s = []
     for j0 in j0_list:
         j0 = np.zeros(dim) if j0 is None else np.asarray(j0, dtype=float)
@@ -168,9 +208,13 @@ def _simulate(model: ConeModel, cfg: SimConfig, x0, j0_list):
                 f"(gap {gap:.3e})")
         j0s.append(j0)
 
-    N = model.normals
-    R = model.reflections
-    Q = _couplings(model)
+    N = np.stack([m.normals for m in models])
+    R_t = np.stack([m.reflections.T for m in models])
+    sigma_t = np.stack([m.dispersion.T for m in models])
+    drift_dt = np.stack([m.drift * cfg.dt for m in models])[:, np.newaxis]
+    couplings = [_couplings(m) for m in models]
+    Q = (None if all(c is None for c in couplings) else
+         np.stack([np.zeros((dim, dim)) if c is None else c for c in couplings]))
     cache = OperatorCache(model) if n_rec else None
 
     n_steps = cfg.n_steps()
@@ -181,86 +225,85 @@ def _simulate(model: ConeModel, cfg: SimConfig, x0, j0_list):
     store_at = {k: i for i, k in enumerate(stored)}
     n_store = len(stored)
 
-    z_out = np.empty((n_paths, n_store, dim))
-    ell_out = np.empty((n_paths, n_store, dim))
+    z_out = np.empty((n_var, n_paths, n_store, dim))
+    ell_out = np.empty((n_var, n_paths, n_store, dim))
     jac_out = np.empty((n_rec, n_paths, n_store, dim)) if n_rec else None
-    mask_out = np.zeros((n_paths, n_store), dtype=np.int64)
+    mask_out = np.zeros((n_var, n_paths, n_store), dtype=np.int64)
     driver_out = (np.zeros((n_paths, n_store, dim)) if cfg.store_driver else None)
-    taus = [[] for _ in range(n_paths)]
+    taus = [[[] for _ in range(n_paths)] for _ in range(n_var)]
 
-    x = np.tile(x0, (n_paths, 1))
-    ell = np.zeros((n_paths, dim))
+    x = np.tile(x0, (n_var, n_paths, 1))
+    ell = np.zeros((n_var, n_paths, dim))
     jac = np.stack([np.tile(j0, (n_paths, 1)) for j0 in j0s]) if n_rec else None
 
-    mask0 = 0
-    for i in np.flatnonzero(
-            N.T @ x0 <= cfg.face_tol * (1.0 + float(np.linalg.norm(x0)))):
-        mask0 |= 1 << int(i)
-    z_out[:, 0] = x
-    ell_out[:, 0] = 0.0
+    shifts = np.arange(dim)
+    mask0 = np.array([int(((m.normals.T @ x0 <= tol0) << shifts).sum())
+                      for m in models])
+    z_out[:, :, 0] = x
+    ell_out[:, :, 0] = 0.0
     if n_rec:
         jac_out[:, :, 0] = jac
-    mask_out[:, 0] = mask0
+    mask_out[:, :, 0] = mask0[:, np.newaxis]
 
     # Face-visit bookkeeping starts empty: the initial active set is
     # logged but only post-step sets count toward completion times.
     full_mask = (1 << dim) - 1
-    cum_mask = np.zeros(n_paths, dtype=np.int64)
+    cum_mask = np.zeros((n_var, n_paths), dtype=np.int64)
 
     gens = [RngContract(cfg.seed, p).generator() for p in range(n_paths)]
     sqdt = np.sqrt(cfg.dt)
-    drift_dt = model.drift * cfg.dt
     b_prime_dt = model.drift_deriv * cfg.dt
     sigma_prime_t = model.dispersion_deriv.T
     r_prime_t = model.reflection_deriv.T
     has_sigma_prime = bool(model.dispersion_deriv.any())
     has_r_prime = bool(model.reflection_deriv.any())
 
-    dw_chunk = np.empty((n_paths, CHUNK_STEPS, dim))
+    dw_chunk = np.empty((n_paths, min(CHUNK_STEPS, n_steps), dim))
     k = 0
     while k < n_steps:
         chunk = min(CHUNK_STEPS, n_steps - k)
+        dw = dw_chunk[:, :chunk]
         for p in range(n_paths):
-            dw_chunk[p, :chunk] = gens[p].standard_normal((chunk, dim))
-        dw = dw_chunk[:, :chunk] * sqdt
+            dw[p] = gens[p].standard_normal((chunk, dim))
+        dw *= sqdt
         for j in range(chunk):
             dwj = dw[:, j]
-            target = x + dwj @ model.dispersion.T + drift_dt
+            target = x + dwj @ sigma_t + drift_dt
             w = _least_push(target @ N, Q)[0]
-            x = target + w @ R.T
+            x = target + w @ R_t
             ell += w
 
             heights = x @ N
-            tol = cfg.face_tol * (1.0 + np.sqrt(np.einsum("pj,pj->p", x, x)))
-            bits = (heights <= tol[:, np.newaxis]).astype(np.int64)
-            masks = (bits << np.arange(dim)).sum(axis=1)
+            tol = cfg.face_tol * (1.0 + np.sqrt(np.einsum("vpj,vpj->vp", x, x)))
+            bits = (heights <= tol[..., np.newaxis]).astype(np.int64)
+            masks = (bits << shifts).sum(axis=-1)
 
             if n_rec:
                 psi = b_prime_dt + (dwj @ sigma_prime_t if has_sigma_prime else 0.0)
                 if has_r_prime:
-                    psi = psi + w @ r_prime_t
+                    psi = psi + w[0] @ r_prime_t
                 jac = jac + psi
-                if masks.any():
-                    for m in np.unique(masks):
-                        if m == 0:
-                            continue
-                        rows = masks == m
-                        op_t = cache.get(int(m)).T
-                        jac[:, rows] = jac[:, rows] @ op_t
+                lead = masks[0]
+                if lead.any():
+                    # rows of one face set are disjoint from the others',
+                    # so the order the sets are taken in does not matter
+                    for m in set(lead.tolist()) - {0}:
+                        rows = lead == m
+                        jac[:, rows] = jac[:, rows] @ cache.get(m).T
 
             cum_mask |= masks
             done = cum_mask == full_mask
             if done.any():
                 t_now = (k + j + 1) * cfg.dt
-                for p in np.flatnonzero(done):
-                    taus[p].append(t_now)
+                for v, p in zip(*np.nonzero(done)):
+                    taus[v][p].append(t_now)
                 cum_mask[done] = masks[done]
 
             idx = store_at.get(k + j + 1)
             if idx is not None:
-                z_out[:, idx] = x
-                ell_out[:, idx] = ell
-                mask_out[:, idx] = masks
+                z_out[:, :, idx] = x
+                ell_out[:, :, idx] = ell
+                mask_out[:, :, idx] = masks
                 if n_rec:
                     jac_out[:, :, idx] = jac
                 if driver_out is not None:
@@ -268,14 +311,16 @@ def _simulate(model: ConeModel, cfg: SimConfig, x0, j0_list):
         k += chunk
 
     times = np.asarray(stored, dtype=float) * cfg.dt
+    times.setflags(write=False)
     return times, z_out, ell_out, jac_out, mask_out, driver_out, taus
 
 
-def _build(run, cfg: SimConfig, p: int, rec: int | None = None):
-    """Trajectory of path ``p``; with ``rec`` set, joint with recursion ``rec``."""
+def _build(run, cfg: SimConfig, p: int, v: int = 0, rec: int | None = None):
+    """Trajectory of path ``p`` under variant ``v``; joint with recursion ``rec``."""
     times, z, ell, jac, masks, driver, taus = run
-    kwargs = dict(times=times.copy(), z=z[p], ell=ell[p], face_log=masks[p],
-                  tau_all_faces=np.asarray(taus[p], dtype=float),
+    kwargs = dict(times=times, z=z[v, p], ell=ell[v, p],
+                  face_log=masks[v, p],
+                  tau_all_faces=np.asarray(taus[v][p], dtype=float),
                   seed=cfg.seed, stream=p, dt=cfg.dt,
                   driver=None if driver is None else driver[p])
     if rec is None:
@@ -297,7 +342,7 @@ def simulate_rbm(model: ConeModel, cfg: SimConfig, x0=None) -> list[Trajectory]:
     -------
     list of Trajectory, one per path (stream p uses (cfg.seed, p)).
     """
-    run = _simulate(model, cfg, x0, [])
+    run = _simulate((model,), cfg, x0, [])
     return [_build(run, cfg, p) for p in range(cfg.n_paths)]
 
 
@@ -309,8 +354,8 @@ def simulate_joint(model: ConeModel, cfg: SimConfig, x0=None,
     it defaults to zero, the natural start when the parameter does not
     move the initial point.
     """
-    run = _simulate(model, cfg, x0, [j0])
-    return [_build(run, cfg, p, 0) for p in range(cfg.n_paths)]
+    run = _simulate((model,), cfg, x0, [j0])
+    return [_build(run, cfg, p, rec=0) for p in range(cfg.n_paths)]
 
 
 def simulate_joint_pair(model: ConeModel, cfg: SimConfig, x0=None,
@@ -322,9 +367,35 @@ def simulate_joint_pair(model: ConeModel, cfg: SimConfig, x0=None,
     their initial value.  Returns a list of (traj_a, traj_b) pairs
     whose difference isolates the projection-product contraction.
     """
-    run = _simulate(model, cfg, x0, [j0_a, j0_b])
-    return [(_build(run, cfg, p, 0), _build(run, cfg, p, 1))
+    run = _simulate((model,), cfg, x0, [j0_a, j0_b])
+    return [(_build(run, cfg, p, rec=0), _build(run, cfg, p, rec=1))
             for p in range(cfg.n_paths)]
+
+
+def simulate_variants(models, cfg: SimConfig, x0=None, j0=None,
+                      joint: bool = False) -> list[list[Trajectory]]:
+    """Simulate several variants of one model on common random numbers.
+
+    The variants (for example ``perturbed_model`` shifts of one model)
+    must share the dimension and the normals; each path's increments
+    are drawn once and drive every variant, all in one engine pass.
+    Returns one list of trajectories per variant, in the order given.
+    With ``joint`` the first variant also carries the derivative
+    recursion from ``j0``, as ``simulate_joint`` does, and its
+    trajectories are JointTrajectory.
+
+    Raises
+    ------
+    GeometryError
+        When the variants differ in dimension or normals; raised before
+        any increment is drawn.
+    """
+    models = tuple(models)
+    if not models:
+        return []
+    run = _simulate(models, cfg, x0, [j0] if joint else [])
+    return [[_build(run, cfg, p, v, 0 if joint and v == 0 else None)
+             for p in range(cfg.n_paths)] for v in range(len(models))]
 
 
 def visit_all_faces_time(traj: Trajectory) -> float | None:
@@ -348,12 +419,20 @@ def open_text_target(target):
         yield target
 
 
+#: Rows formatted per write by ``write_trajectory_csv``; bounds the
+#: size of the text built at once.
+CSV_BLOCK_ROWS = 4096
+
+
 def write_trajectory_csv(target, traj: Trajectory) -> None:
     """Write a trajectory as CSV: t, Z_*, [J_*,] L_*, faces.
 
     ``target`` is a path or a text file object.  Metadata lives in
     '#' comment lines; bodies for identical runs are byte-identical.
-    Values are written with ``%.17g``, so they round-trip exactly.
+    Values are written with ``%.17g``, so they round-trip exactly.  The
+    body is formatted a block of rows at a time with one ``%`` over the
+    block's values, which gives the same text as ``np.savetxt`` with
+    ``fmt="%.17g"`` without a Python call per row.
     """
     dim = traj.dim
     jac = getattr(traj, "jac", None)
@@ -364,7 +443,11 @@ def write_trajectory_csv(target, traj: Trajectory) -> None:
         blocks.append(jac)
     cols += [f"L_{i}" for i in range(1, dim + 1)] + ["faces"]
     blocks += [traj.ell, traj.face_log]
+    body = np.column_stack(blocks)
+    row_fmt = ",".join(["%.17g"] * body.shape[1]) + "\n"
     with open_text_target(target) as fh:
         fh.write(f"# seed={traj.seed} stream={traj.stream} dt={traj.dt:.17g}\n")
         fh.write(",".join(cols) + "\n")
-        np.savetxt(fh, np.column_stack(blocks), fmt="%.17g", delimiter=",")
+        for start in range(0, body.shape[0], CSV_BLOCK_ROWS):
+            rows = body[start:start + CSV_BLOCK_ROWS]
+            fh.write(row_fmt * rows.shape[0] % tuple(rows.ravel().tolist()))

@@ -14,7 +14,8 @@ converges to the least solution; that least-element structure is what
 makes the discrete problem well posed without any ordering of faces.
 
 One kernel, ``_least_push``, runs that fixed point for a (..., J)
-block of q vectors; ``lcp_solve``, ``sp_step``, ``sp_solve_path``,
+block of q vectors, with one Q or a stack of them (one per model
+variant of a batched run); ``lcp_solve``, ``sp_step``, ``sp_solve_path``,
 ``lyapunov_m`` and the batched engine in ``rbmsens.sim`` all call it.
 When Q vanishes (normal reflection on an orthant) the least solution
 is w = (-q)^+ in closed form; callers decide that once per run through
@@ -134,18 +135,25 @@ def _least_push(q: np.ndarray, Q: np.ndarray | None, tol: float = LCP_TOL,
                 max_iter: int = 500):
     """Least w >= 0 with q + (E - Q) w >= 0 complementary to w.
 
-    ``q`` is a (..., J) block; the fixed point w <- (Q w - q)^+ runs
+    ``q`` is a (..., J) block and ``Q`` a (J, J) matrix or a stack of
+    them that broadcasts against it, such as (V, J, J) for a (V, P, J)
+    block of model variants.  The fixed point w <- (Q w - q)^+ runs
     from w = 0 on the whole block until the max-norm update over the
     block falls below ``tol``.  With ``Q`` None the closed form
-    w = (-q)^+ is returned after one iteration.  Returns
-    (w, iterations, last update).
+    w = (-q)^+ is returned after one iteration.  When no entry of q is
+    negative nothing pushes, and exact zeros come back at once with the
+    loop's own count and update (1 and 0.0): from w = 0 its first
+    iterate is exactly +0.0.  Returns (w, iterations, last update).
     """
     if Q is None:
         return np.maximum(-q, 0.0), 1, 0.0
+    if (q >= 0.0).all():
+        return np.zeros_like(q), 1, 0.0
+    Q_t = np.swapaxes(Q, -1, -2)
     w = np.zeros_like(q)
     delta = np.inf
     for iteration in range(1, max_iter + 1):
-        w_next = np.maximum(w @ Q.T - q, 0.0)
+        w_next = np.maximum(w @ Q_t - q, 0.0)
         delta = float(np.abs(w_next - w).max())
         w = w_next
         if delta <= tol:

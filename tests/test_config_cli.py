@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rbmsens import cli
 from rbmsens.cli import main
 from rbmsens.config import (
     BUILTIN_SCENARIOS,
@@ -15,8 +17,10 @@ from rbmsens.config import (
     parse_config,
 )
 from rbmsens.errors import ConfigError
-from rbmsens.estimators import gradient_check
-from rbmsens.geometry import drift_stability_check, validate_cone
+from rbmsens.estimators import gradient_check, stationary_estimate
+from rbmsens.geometry import (drift_stability_check, perturbed_model,
+                              validate_cone)
+from rbmsens.sim import simulate_joint, simulate_rbm
 
 from conftest import paired_five_face_model
 
@@ -255,6 +259,72 @@ class TestCli:
         eps_values = [line.split(",")[7] for line in lines[1:]]
         assert eps_values[0] == ""
         assert float(eps_values[2]) == pytest.approx(float(eps_values[1]) / 2)
+
+    @pytest.mark.parametrize("name", ["hr2d", "hr2d_refl"])
+    def test_sensitivity_rows_equal_per_path_rebuild(self, tmp_path, name):
+        # Rebuilds each row from separate single-model runs, as the
+        # benchmark's check does: the one-pass report must carry their
+        # per-path mean and standard error.
+        sc = builtin_scenario(name)
+        sc = replace(sc, sim=replace(sc.sim, dt=0.005, horizon=10.0,
+                                     burn_in=1.0, n_paths=3))
+        path = tmp_path / "sens.cfg"
+        path.write_text(emit_config(sc))
+        out = tmp_path / "sens.csv"
+        assert main(["--config", str(path), "--command", "sensitivity",
+                     "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        sim, func = sc.sim, sc.functional()
+
+        def tail_mean(traj, series):
+            return series[traj.times > sim.burn_in].mean()
+
+        joint = simulate_joint(sc.model, sim, x0=sc.x0, j0=sc.j0)
+        per_path = [np.array([tail_mean(t, np.einsum(
+            "kj,kj->k", func.f_prime(t.z), t.jac)) for t in joint])]
+        for eps in (sc.fd_epsilon, sc.fd_epsilon / 2.0):
+            plus, minus = (simulate_rbm(perturbed_model(sc.model, a), sim,
+                                        x0=sc.x0) for a in (eps, -eps))
+            per_path.append(np.array([
+                tail_mean(p, func.f(p.z) - func.f(m.z)) / (2.0 * eps)
+                for p, m in zip(plus, minus)]))
+        for row, values in zip(rows, per_path, strict=True):
+            want = (values.mean(), values.std(ddof=1) / math.sqrt(values.size))
+            got = (float(row[1]), float(row[2]))
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-15)
+
+    def test_sweep_rows_match_per_offset_runs(self, tmp_path):
+        sc = builtin_scenario("hr2d")
+        sc = replace(sc, sim=replace(sc.sim, dt=0.005, horizon=10.0,
+                                     burn_in=1.0, n_paths=3))
+        path = tmp_path / "sweep.cfg"
+        path.write_text(emit_config(sc))
+        out = tmp_path / "sweep.csv"
+        assert main(["--config", str(path), "--command", "sweep",
+                     "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [float(r[0]) for r in rows] == list(sc.sweep_offsets)
+        for row, offset in zip(rows, sc.sweep_offsets, strict=True):
+            trajs = simulate_rbm(perturbed_model(sc.model, offset), sc.sim,
+                                 x0=sc.x0)
+            want = stationary_estimate(sc.functional(), trajs,
+                                       burn_in=sc.sim.burn_in)
+            assert (float(row[2]), float(row[3])) == pytest.approx(
+                want, rel=1e-12)
+
+    def test_sweep_validates_every_offset_before_running(self, tmp_path,
+                                                         monkeypatch, capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated before validating every offset")
+
+        monkeypatch.setattr(cli, "simulate_variants", no_run)
+        # on hr2d_refl an offset of 5 tilts d_1 so far that rho(Q) > 1
+        sc = builtin_scenario("hr2d_refl")
+        sc = replace(sc, sweep_offsets=(0.0, 0.1, 5.0))
+        path = tmp_path / "sweep.cfg"
+        path.write_text(emit_config(sc))
+        assert main(["--config", str(path), "--command", "sweep"]) == 3
+        assert "sweep offset 5" in capsys.readouterr().err
 
     def test_contraction_table(self, tmp_path):
         out = tmp_path / "contr.csv"

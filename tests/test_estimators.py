@@ -5,12 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rbmsens.errors import EstimationError
+from rbmsens.errors import EstimationError, GeometryError
 from rbmsens.estimators import (
     REPORT_CSV_HEADER,
     SensitivityReport,
     batch_means,
     fd_oracle,
+    fd_report,
     finite_horizon_sensitivity,
     gradient_check,
     ipa_sensitivity,
@@ -234,6 +235,44 @@ class TestFdOracle:
         var_indep = np.var(indep, ddof=1)
         # 50 reps give a loose but decisive separation (factor >> 1)
         assert var_indep > 3.0 * var_crn
+
+
+    def test_one_pass_matches_separate_runs(self):
+        model = hr2d_model()
+        plus = perturbed_model(model, 0.05)
+        minus = perturbed_model(model, -0.05)
+        func = linear_functional([1.0, 1.0])
+        cfg = SimConfig(dt=0.005, horizon=10.0, burn_in=1.0, seed=8,
+                        n_paths=4)
+        report = fd_oracle(plus, minus, func, cfg, 0.05)
+        separate = fd_report(func, simulate_rbm(plus, cfg),
+                             simulate_rbm(minus, cfg), cfg, 0.05)
+        assert report.estimate == pytest.approx(separate.estimate, rel=1e-9)
+        assert report.stderr == pytest.approx(separate.stderr, rel=1e-9)
+        assert (report.method, report.fd_epsilon, report.n_paths) == (
+            "fd-crn", 0.05, 4)
+
+    def test_models_of_other_cones_rejected(self):
+        cfg = SimConfig(dt=0.01, horizon=1.0)
+        with pytest.raises(GeometryError):
+            fd_oracle(orthant_model(2), orthant_model(3),
+                      linear_functional([1.0, 1.0]), cfg, 0.05)
+
+
+class TestFdReport:
+    def test_paired_path_differences(self):
+        func = linear_functional([1.0, 1.0])
+        cfg = SimConfig(dt=0.01, horizon=5.0, burn_in=0.5, seed=2, n_paths=3)
+        plus = simulate_rbm(orthant_model(2, drift=[-0.9, -1.0]), cfg)
+        minus = simulate_rbm(orthant_model(2, drift=[-1.1, -1.0]), cfg)
+        keep = plus[0].times > cfg.burn_in
+        per_path = np.array([(func.f(p.z) - func.f(m.z))[keep].mean() / 0.2
+                             for p, m in zip(plus, minus)])
+        report = fd_report(func, plus, minus, cfg, 0.1)
+        assert report.estimate == pytest.approx(per_path.mean(), rel=1e-12)
+        assert report.stderr == pytest.approx(
+            per_path.std(ddof=1) / np.sqrt(3), rel=1e-12)
+        assert (report.horizon, report.burn_in, report.seed) == (5.0, 0.5, 2)
 
 
 class TestReportCsv:

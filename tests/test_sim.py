@@ -16,8 +16,10 @@ from rbmsens.derivative import (
     psi_increment,
     subspace_gap,
 )
-from rbmsens.errors import DomainError
-from rbmsens.geometry import build_b_norm, face_set
+from rbmsens.config import builtin_scenario
+from rbmsens.errors import DomainError, GeometryError
+from rbmsens.geometry import (ConeModel, build_b_norm, face_set,
+                              perturbed_model, validate_cone)
 from rbmsens.sim import (
     JointTrajectory,
     RngContract,
@@ -26,6 +28,7 @@ from rbmsens.sim import (
     simulate_joint,
     simulate_joint_pair,
     simulate_rbm,
+    simulate_variants,
     visit_all_faces_time,
     write_trajectory_csv,
 )
@@ -343,3 +346,87 @@ class TestCouplingDecay:
                                              j0_b=None)[0]
         np.testing.assert_array_equal(traj_a.z, traj_b.z)
         np.testing.assert_array_equal(traj_a.jac, traj_b.jac)
+
+
+def _fd_variants(model, eps=0.05):
+    """The model followed by its shifts +eps, -eps, +eps/2, -eps/2."""
+    return [model] + [perturbed_model(model, a)
+                      for a in (eps, -eps, eps / 2, -eps / 2)]
+
+
+#: Variant families with the agreement bound against single-model
+#: runs: a drift derivative (hr2d), per-variant R and Q (hr2d_refl),
+#: and a 3-D oblique cone whose derivative moves the drift, the
+#: dispersion and the reflections.  The reflection solve stops once its
+#: update is 1e-12, which leaves a push up to rho(Q) / (1 - rho(Q))
+#: times that from its fixed point; rho(Q) is 0.3 on the hr2d pair and
+#: up to 0.8 on the random cone, hence its wider bound.  Seed 11 is one
+#: whose shifted normals differ from the base normals in the last bit.
+VARIANT_MODELS = {
+    "hr2d": (hr2d_model, 1e-12),
+    "hr2d_refl": (lambda: builtin_scenario("hr2d_refl").model, 1e-12),
+    "random3d": (lambda: random_cone_model(np.random.default_rng(11), dim=3,
+                                           with_derivs=True), 1e-11),
+}
+
+
+class TestSimulateVariants:
+    @pytest.mark.parametrize("name", sorted(VARIANT_MODELS))
+    def test_each_variant_matches_its_single_model_run(self, name):
+        build, atol = VARIANT_MODELS[name]
+        models = _fd_variants(build())
+        assert all(validate_cone(m).accepted for m in models)
+        cfg = SimConfig(dt=0.01, horizon=5.0, seed=4, n_paths=3)
+        runs = simulate_variants(models, cfg, joint=True)
+        assert len(runs) == len(models)
+        for v, (model, trajs) in enumerate(zip(models, runs)):
+            alone = (simulate_joint(model, cfg) if v == 0
+                     else simulate_rbm(model, cfg))
+            for got, want in zip(trajs, alone, strict=True):
+                assert isinstance(got, JointTrajectory) == (v == 0)
+                pairs = [(got.z, want.z), (got.ell, want.ell)]
+                if v == 0:
+                    pairs.append((got.jac, want.jac))
+                # local times add push differences up; they reach about 5
+                for x, y in pairs:
+                    np.testing.assert_allclose(x, y, rtol=1e-12, atol=atol)
+                np.testing.assert_array_equal(got.face_log, want.face_log)
+                np.testing.assert_array_equal(got.tau_all_faces,
+                                              want.tau_all_faces)
+        # the shifts really move the paths, so the comparison is not vacuous
+        assert np.abs(runs[1][0].z - runs[2][0].z).max() > 1e-6
+
+    def test_single_variant_is_bit_identical_to_simulate_joint(self):
+        model = hr2d_model()
+        cfg = SimConfig(dt=0.01, horizon=5.0, seed=11, n_paths=3)
+        [stacked] = simulate_variants([model], cfg, joint=True)
+        for a, b in zip(stacked, simulate_joint(model, cfg), strict=True):
+            for x, y in zip(_joint_arrays(a), _joint_arrays(b)):
+                np.testing.assert_array_equal(x, y)
+
+    def test_variants_share_increments_and_driver(self):
+        model = hr2d_model()
+        cfg = SimConfig(dt=0.01, horizon=2.0, seed=2, n_paths=2,
+                        store_driver=True)
+        base, shifted = simulate_variants([model, perturbed_model(model, 0.1)],
+                                          cfg)
+        for a, b in zip(base, shifted):
+            np.testing.assert_array_equal(a.driver, b.driver)
+            assert (a.seed, a.stream) == (b.seed, b.stream)
+
+    def test_other_cones_rejected_before_any_draw(self, monkeypatch):
+        def no_draw(self):
+            raise AssertionError("increments drawn before the cone check")
+
+        monkeypatch.setattr(RngContract, "generator", no_draw)
+        cfg = SimConfig(dt=0.01, horizon=1.0)
+        tilted = ConeModel(normals=[[1.0, 0.2], [0.0, 1.0]],
+                           reflections=np.identity(2), drift=[-1.0, -1.0],
+                           dispersion=np.identity(2))
+        with pytest.raises(GeometryError, match="normals"):
+            simulate_variants([orthant_model(2), tilted], cfg)
+        with pytest.raises(GeometryError, match="dimension"):
+            simulate_variants([orthant_model(2), orthant_model(3)], cfg)
+
+    def test_no_variants_no_run(self):
+        assert simulate_variants([], SimConfig(dt=0.01, horizon=1.0)) == []

@@ -10,6 +10,7 @@ from rbmsens.geometry import ConeModel
 from rbmsens.skorokhod import (
     _LOOKAHEAD,
     DiscretePath,
+    _least_push,
     complementarity_gap,
     lcp_solve,
     lyapunov_m,
@@ -79,6 +80,35 @@ class TestLcpSolve:
             lcp_solve(m, np.array([-1.0, -1.0]), max_iter=1)
         assert info.value.residual is not None
         assert info.value.last is not None
+
+
+class TestLeastPush:
+    def test_nonnegative_block_returns_exact_zeros(self):
+        q = np.array([[0.0, -0.0], [1.0, 2.5], [3.0, 0.0]])
+        w, iterations, update = _least_push(q, hr2d_model().q_matrix())
+        assert (iterations, update) == (1, 0.0)
+        np.testing.assert_array_equal(w, np.zeros_like(q))
+        assert not np.signbit(w).any()
+
+    def test_one_negative_entry_still_iterates(self):
+        q = np.array([[1.0, 2.5], [-1.0, 0.5]])
+        w, iterations, _ = _least_push(q, hr2d_model().q_matrix())
+        assert iterations > 1
+        assert w[1, 0] == pytest.approx(1.0)
+
+    def test_nan_is_not_taken_for_a_free_step(self):
+        with pytest.raises(ConvergenceError):
+            _least_push(np.array([[np.nan, 1.0]]), hr2d_model().q_matrix())
+
+    def test_stacked_couplings_match_one_model_at_a_time(self, rng):
+        models = [random_cone_model(rng, dim=3) for _ in range(4)]
+        Q = np.stack([m.q_matrix() for m in models])
+        q = rng.normal(size=(4, 6, 3))
+        w, _, update = _least_push(q, Q)
+        assert update <= 1e-12
+        for v, model in enumerate(models):
+            alone = _least_push(q[v], model.q_matrix())[0]
+            np.testing.assert_allclose(w[v], alone, rtol=0.0, atol=1e-11)
 
 
 class TestSpStep:

@@ -6,10 +6,11 @@ One scenario file (or a named builtin) drives every command:
     rbmsens --config scen.cfg --command sensitivity --out report.csv
 
 Commands: check, simulate, stationary, sensitivity, contraction,
-lyapunov, sweep.  Exit codes: 0 success, 2 configuration problems,
-3 geometry rejection (including unstable drift), 4 non-convergence,
-5 estimator misuse.  CSV bodies contain no timestamps, so identical
-runs produce byte-identical files.
+lyapunov, sweep.  Exit codes: 0 success, 2 configuration problems
+(including numbers that are not finite), 3 geometry rejection
+(including unstable drift), 4 a ``lyapunov`` path that does not reach
+the origin by its horizon, 5 estimator misuse.  CSV bodies contain no
+timestamps, so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations

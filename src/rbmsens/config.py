@@ -12,14 +12,15 @@ A scenario file is a small INI-style document with four sections:
 Vectors are whitespace- or comma-separated numbers; a single number
 broadcasts to every coordinate.  Matrices list rows separated by ';'
 (or all entries flat, row-major); a single number means that multiple
-of the identity.  '#' starts a comment.  Parsing collects every
-problem with its line number and raises one ConfigError, so a bad file
-is reported in full rather than one field at a time; nothing is
-constructed from a file with errors.
+of the identity.  Every number must be finite.  '#' starts a comment.
+Parsing collects every problem with its line number and raises one
+ConfigError, so a bad file is reported in full rather than one field
+at a time; nothing is constructed from a file with errors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,9 +89,17 @@ class ScenarioConfig:
         raise ConfigError(f"unknown functional kind '{self.functional_kind}'")
 
 
+def _number(raw: str) -> float:
+    """A finite float; nan and inf raise ValueError."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got '{raw.strip()}'")
+    return value
+
+
 def _parse_vector(raw: str, dim: int) -> np.ndarray:
     parts = raw.replace(",", " ").split()
-    values = [float(p) for p in parts]
+    values = [_number(p) for p in parts]
     if len(values) == 1:
         return np.full(dim, values[0])
     if len(values) != dim:
@@ -107,14 +116,14 @@ def _parse_matrix(raw: str, dim: int) -> np.ndarray:
             raise ValueError(f"expected {dim} rows separated by ';', got {len(rows)}")
         out = []
         for row in rows:
-            entries = [float(p) for p in row.replace(",", " ").split()]
+            entries = [_number(p) for p in row.replace(",", " ").split()]
             if len(entries) != dim:
                 raise ValueError(f"row '{row.strip()}' has {len(entries)} "
                                  f"entries, expected {dim}")
             out.append(entries)
         return np.array(out)
     parts = raw.replace(",", " ").split()
-    values = [float(p) for p in parts]
+    values = [_number(p) for p in parts]
     if len(values) == 1:
         return values[0] * np.identity(dim)
     if len(values) != dim * dim:
@@ -195,21 +204,21 @@ def parse_config(text: str) -> ScenarioConfig:
                             default=np.zeros((dim, dim)))
 
     name = take("sim", "name", str, default="scenario")
-    dt = take("sim", "dt", float, default=1e-3)
-    horizon = take("sim", "horizon", float, default=100.0)
-    burn_in = take("sim", "burn_in", float, default=0.0)
+    dt = take("sim", "dt", _number, default=1e-3)
+    horizon = take("sim", "horizon", _number, default=100.0)
+    burn_in = take("sim", "burn_in", _number, default=0.0)
     n_paths = take("sim", "n_paths", int, default=1)
     seed = take("sim", "seed", int, default=0)
-    face_tol = take("sim", "face_tol", float, default=1e-9)
+    face_tol = take("sim", "face_tol", _number, default=1e-9)
     decimate = take("sim", "decimate", int, default=1)
     x0 = take("sim", "x0", lambda v: _parse_vector(v, dim),
               default=np.zeros(dim))
     j0 = take("sim", "j0", lambda v: _parse_vector(v, dim),
               default=np.zeros(dim))
-    fd_epsilon = take("sim", "fd_epsilon", float, default=0.05)
+    fd_epsilon = take("sim", "fd_epsilon", _number, default=0.05)
     sweep_offsets = take(
         "sim", "sweep_offsets",
-        lambda v: tuple(float(p) for p in v.replace(",", " ").split()),
+        lambda v: tuple(_number(p) for p in v.replace(",", " ").split()),
         default=_DEFAULT_SWEEP)
 
     kind = take("functional", "kind", str, default="linear")
@@ -221,7 +230,7 @@ def parse_config(text: str) -> ScenarioConfig:
     if kind == "log1p_sum" and coefficients is not None:
         problems.append("[functional] coefficients only apply to kind=linear")
 
-    if fd_epsilon is not None and fd_epsilon <= 0.0:
+    if fd_epsilon is not None and not fd_epsilon > 0.0:
         problems.append("[sim] fd_epsilon must be positive")
 
     model = None

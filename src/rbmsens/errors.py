@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 Each class marks one failure surface: bad geometry, points outside the
-domain, iterations that did not converge, malformed configuration, and
-estimator misuse.  The command line maps them to distinct exit codes.
+domain, a deterministic path that did not reach its target in time,
+malformed configuration, and estimator misuse.  The command line maps
+them to distinct exit codes.
 """
 
 from __future__ import annotations
@@ -24,27 +25,12 @@ class DomainError(RbmError):
 
 
 class ConvergenceError(RbmError):
-    """An iterative routine ran out of iterations.
+    """An iterative routine did not reach its target within its budget.
 
-    Carries the last iterate and residual so a caller can log a useful
-    diagnostic instead of a bare failure.
+    Raised by ``lyapunov_m`` when the noise-free path has not reached
+    the origin by its horizon; the reflection solve is exact and never
+    raises it.
     """
-
-    def __init__(self, message: str, *, iterations: int | None = None,
-                 residual: float | None = None, last=None):
-        super().__init__(message)
-        self.iterations = iterations
-        self.residual = residual
-        self.last = last
-
-    def __str__(self) -> str:
-        extra = []
-        if self.iterations is not None:
-            extra.append(f"iterations={self.iterations}")
-        if self.residual is not None:
-            extra.append(f"residual={self.residual:.3e}")
-        base = super().__str__()
-        return f"{base} ({', '.join(extra)})" if extra else base
 
 
 class ConfigError(RbmError):

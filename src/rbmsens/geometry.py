@@ -52,17 +52,12 @@ __all__ = [
 ]
 
 
-def _as_square(mat, dim: int, name: str) -> np.ndarray:
-    arr = np.array(mat, dtype=float)
-    if arr.shape != (dim, dim):
-        raise GeometryError(f"{name} must have shape ({dim}, {dim}), got {arr.shape}")
-    return arr
-
-
-def _as_vector(vec, dim: int, name: str) -> np.ndarray:
-    arr = np.array(vec, dtype=float)
-    if arr.shape != (dim,):
-        raise GeometryError(f"{name} must have shape ({dim},), got {arr.shape}")
+def _as_array(value, shape: tuple, name: str) -> np.ndarray:
+    arr = np.array(value, dtype=float)
+    if arr.shape != shape:
+        raise GeometryError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise GeometryError(f"{name} has entries that are not finite")
     return arr
 
 
@@ -93,8 +88,9 @@ class ConeModel:
     Raises
     ------
     GeometryError
-        On shape mismatch, a zero normal, or <d_i, n_i> <= 0 (the
-        direction would be tangent to or point out of its face).
+        On shape mismatch, an entry that is not finite, a zero normal,
+        or <d_i, n_i> <= 0 (the direction would be tangent to or point
+        out of its face).
     """
 
     normals: np.ndarray
@@ -107,9 +103,8 @@ class ConeModel:
 
     def __post_init__(self):
         N = np.array(self.normals, dtype=float)
-        if N.ndim != 2 or N.shape[0] != N.shape[1]:
-            raise GeometryError(f"normals must be square, got shape {N.shape}")
-        dim = N.shape[0]
+        dim = N.shape[0] if N.ndim else 0
+        N = _as_array(N, (dim, dim), "normals")
 
         lengths = np.linalg.norm(N, axis=0)
         if np.any(lengths < 1e-14):
@@ -117,7 +112,7 @@ class ConeModel:
             raise GeometryError(f"normal n_{bad + 1} is (numerically) zero")
         N = N / lengths
 
-        R = _as_square(self.reflections, dim, "reflections")
+        R = _as_array(self.reflections, (dim, dim), "reflections")
         diag = np.einsum("ji,ji->i", N, R)
         if np.any(diag <= 1e-14):
             bad = int(np.argmin(diag))
@@ -127,16 +122,15 @@ class ConeModel:
             )
         R = R / diag
 
-        b = _as_vector(self.drift, dim, "drift")
-        sigma = _as_square(self.dispersion, dim, "dispersion")
+        b = _as_array(self.drift, (dim,), "drift")
+        sigma = _as_array(self.dispersion, (dim, dim), "dispersion")
 
-        def opt_square(value, name):
-            return np.zeros((dim, dim)) if value is None else _as_square(value, dim, name)
+        def optional(value, shape, name):
+            return np.zeros(shape) if value is None else _as_array(value, shape, name)
 
-        b_prime = (np.zeros(dim) if self.drift_deriv is None
-                   else _as_vector(self.drift_deriv, dim, "drift_deriv"))
-        sigma_prime = opt_square(self.dispersion_deriv, "dispersion_deriv")
-        r_prime = opt_square(self.reflection_deriv, "reflection_deriv")
+        b_prime = optional(self.drift_deriv, (dim,), "drift_deriv")
+        sigma_prime = optional(self.dispersion_deriv, (dim, dim), "dispersion_deriv")
+        r_prime = optional(self.reflection_deriv, (dim, dim), "reflection_deriv")
 
         for name, arr in (("normals", N), ("reflections", R), ("drift", b),
                           ("dispersion", sigma), ("drift_deriv", b_prime),
@@ -403,11 +397,13 @@ def active_faces(model: ConeModel, x, face_tol: float | None = None) -> frozense
 
     Raises
     ------
+    GeometryError
+        If x has the wrong shape or entries that are not finite.
     DomainError
         If some <x, n_i> < -face_tol, i.e. x lies outside the cone
         beyond the tolerance.
     """
-    x = _as_vector(x, model.dim, "x")
+    x = _as_array(x, (model.dim,), "x")
     if face_tol is None:
         face_tol = default_face_tol(x)
     heights = model.normals.T @ x

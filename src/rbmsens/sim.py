@@ -16,12 +16,11 @@ of a run sees path p's stream.  A configuration (seed, dt, horizon,
 path count, variants) reproduces trajectories bit-exactly, regardless
 of the chunk size ``CHUNK_STEPS`` used internally; a one-variant run
 (``simulate_rbm``, ``simulate_joint``, ``simulate_joint_pair``) is the
-same computation it always was.  Across path counts, and between a
-variant and its own single-model run, results agree only to rounding
-level: the reflection solve iterates the whole block until its largest
-update is small, so the paths and variants sharing a call can change
-the last bits of a push (about 1e-13 on hr2d), and with them a face
-activity test whose height lies within rounding of its threshold.
+same computation it always was.  At the same path count, each variant
+of a run equals its own single-model run bit for bit: the reflection
+solve treats every row of the block on its own.  Across path counts
+results agree to rounding level only, because the block products that
+move the state may round differently for another number of rows.
 """
 
 from __future__ import annotations
@@ -76,13 +75,14 @@ class RngContract:
 class SimConfig:
     """Knobs of one simulation run.
 
-    ``face_tol`` is the base activity tolerance; the per-step
-    threshold is ``face_tol * (1 + |Z|)``.  ``decimate`` thins the
-    stored grid (every n-th step) for export; estimator calls should
-    leave it at 1 so time averages see every step.  ``store_driver``
-    keeps the Brownian increments (row k is the increment that
-    produced stored point k, row 0 is zero) and requires
-    ``decimate=1``.
+    ``face_tol`` is the activity tolerance of the start point: faces
+    within ``face_tol * (1 + |x0|)`` of x0 are active there.  After
+    each step the active faces are the ones the step pushed on.
+    ``decimate`` thins the stored grid (every n-th step) for export;
+    estimator calls should leave it at 1 so time averages see every
+    step.  ``store_driver`` keeps the Brownian increments (row k is the
+    increment that produced stored point k, row 0 is zero) and
+    requires ``decimate=1``.
     """
 
     dt: float
@@ -95,13 +95,18 @@ class SimConfig:
     store_driver: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.horizon <= 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        # written so that NaN fails every test
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not 0.0 < self.horizon < np.inf:
+            raise ValueError(
+                f"horizon must be positive and finite, got {self.horizon}")
         if not 0.0 <= self.burn_in < self.horizon:
             raise ValueError(
                 f"burn_in must lie in [0, horizon), got {self.burn_in}")
+        if not 0.0 <= self.face_tol < np.inf:
+            raise ValueError(
+                f"face_tol must be nonnegative and finite, got {self.face_tol}")
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be at least 1, got {self.n_paths}")
         if self.decimate < 1:
@@ -236,9 +241,8 @@ def _simulate(models, cfg: SimConfig, x0, j0_list):
     ell = np.zeros((n_var, n_paths, dim))
     jac = np.stack([np.tile(j0, (n_paths, 1)) for j0 in j0s]) if n_rec else None
 
-    shifts = np.arange(dim)
-    mask0 = np.array([int(((m.normals.T @ x0 <= tol0) << shifts).sum())
-                      for m in models])
+    bits = 1 << np.arange(dim)
+    mask0 = np.array([(m.normals.T @ x0 <= tol0) @ bits for m in models])
     z_out[:, :, 0] = x
     ell_out[:, :, 0] = 0.0
     if n_rec:
@@ -269,14 +273,10 @@ def _simulate(models, cfg: SimConfig, x0, j0_list):
         for j in range(chunk):
             dwj = dw[:, j]
             target = x + dwj @ sigma_t + drift_dt
-            w = _least_push(target @ N, Q)[0]
+            w, pushed = _least_push(target @ N, Q)
             x = target + w @ R_t
             ell += w
-
-            heights = x @ N
-            tol = cfg.face_tol * (1.0 + np.sqrt(np.einsum("vpj,vpj->vp", x, x)))
-            bits = (heights <= tol[..., np.newaxis]).astype(np.int64)
-            masks = (bits << shifts).sum(axis=-1)
+            masks = pushed @ bits
 
             if n_rec:
                 psi = b_prime_dt + (dwj @ sigma_prime_t if has_sigma_prime else 0.0)

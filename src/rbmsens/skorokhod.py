@@ -9,19 +9,19 @@ one solves
     z = q + M w,   w >= 0,  z >= 0,  <w, z> = 0,   M = N^T R,
 
 and sets h_{k+1} = h_k + Δf + R w.  Because M = E - Q with Q >= 0 and
-rho(Q) < 1, the map w -> (Q w - q)^+ is monotone from w = 0 and
-converges to the least solution; that least-element structure is what
-makes the discrete problem well posed without any ordering of faces.
+rho(Q) < 1, M is an M-matrix and the problem has exactly one solution,
+the least element of its feasible set, whatever the order of faces.
 
-One kernel, ``_least_push``, runs that fixed point for a (..., J)
-block of q vectors, with one Q or a stack of them (one per model
-variant of a batched run); ``lcp_solve``, ``sp_step``, ``sp_solve_path``,
-``lyapunov_m`` and the batched engine in ``rbmsens.sim`` all call it.
-When Q vanishes (normal reflection on an orthant) the least solution
-is w = (-q)^+ in closed form; callers decide that once per run through
-``_couplings``.  ``sp_solve_path`` stays a per-step fold but looks
-ahead over a window of steps: free motion is filled in with one
-cumulative sum, and the kernel runs only at steps whose target leaves
+One kernel, ``_least_push``, solves it exactly for a (..., J) block of
+q vectors, with one Q or one per model variant of a batched run, by
+the active-set method for M-matrices (Chandrasekaran 1970, "A special
+case of the complementary pivot problem"): at most J batched linear
+solves, no tolerance, and the faces pushed on come back as the step's
+active set.  ``lcp_solve``, ``sp_step``, ``sp_solve_path``,
+``lyapunov_m`` and the engine in ``rbmsens.sim`` all call it; when Q
+vanishes (``_couplings`` returns None) it uses w = (-q)^+.
+``sp_solve_path`` looks ahead over a window of steps: free motion is
+one cumulative sum, and the kernel runs only where the target leaves
 the cone.
 
 The module also carries the 1-D running-maximum oracle (an independent
@@ -50,10 +50,6 @@ __all__ = [
     "complementarity_gap",
     "lyapunov_m",
 ]
-
-#: Default fixed-point tolerance for the per-step complementarity solve.
-LCP_TOL = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class DiscretePath:
@@ -96,15 +92,12 @@ class DiscretePath:
 class LcpSolution:
     """Solution pair of one complementarity solve.
 
-    Satisfies z = q + M w (up to solver tolerance), w, z >= 0 and
-    <w, z> = 0; ``iterations`` and ``residual`` record how the fixed
-    point stopped.
+    Satisfies z = q + M w, w, z >= 0 and <w, z> = 0, up to the
+    rounding of one linear solve.
     """
 
     w: np.ndarray
     z: np.ndarray
-    iterations: int
-    residual: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,57 +124,54 @@ def _couplings(model: ConeModel) -> np.ndarray | None:
     return Q if Q.any() else None
 
 
-def _least_push(q: np.ndarray, Q: np.ndarray | None, tol: float = LCP_TOL,
-                max_iter: int = 500):
-    """Least w >= 0 with q + (E - Q) w >= 0 complementary to w.
+def _least_push(q: np.ndarray, Q: np.ndarray | None):
+    """Solution w >= 0 of q + (E - Q) w >= 0 complementary to w.
 
-    ``q`` is a (..., J) block and ``Q`` a (J, J) matrix or a stack of
-    them that broadcasts against it, such as (V, J, J) for a (V, P, J)
-    block of model variants.  The fixed point w <- (Q w - q)^+ runs
-    from w = 0 on the whole block until the max-norm update over the
-    block falls below ``tol``.  With ``Q`` None the closed form
-    w = (-q)^+ is returned after one iteration.  When no entry of q is
-    negative nothing pushes, and exact zeros come back at once with the
-    loop's own count and update (1 and 0.0): from w = 0 its first
-    iterate is exactly +0.0.  Returns (w, iterations, last update).
-    """
-    if Q is None:
-        return np.maximum(-q, 0.0), 1, 0.0
-    if (q >= 0.0).all():
-        return np.zeros_like(q), 1, 0.0
-    Q_t = np.swapaxes(Q, -1, -2)
-    w = np.zeros_like(q)
-    delta = np.inf
-    for iteration in range(1, max_iter + 1):
-        w_next = np.maximum(w @ Q_t - q, 0.0)
-        delta = float(np.abs(w_next - w).max())
-        w = w_next
-        if delta <= tol:
-            return w, iteration, delta
-    raise ConvergenceError(
-        "complementarity fixed point did not converge",
-        iterations=max_iter, residual=delta, last=w)
-
-
-def lcp_solve(M, q, tol: float = LCP_TOL, max_iter: int = 500) -> LcpSolution:
-    """Least solution of z = q + M w, w, z >= 0, <w, z> = 0.
-
-    Iterates the monotone fixed point w <- (Q w - q)^+ with
-    Q = E - M, starting from w = 0.  For M in the M-matrix regime the
-    iterates increase to the least solution; the loop stops when the
-    max-norm update falls below ``tol``.
+    ``q`` is a (..., J) block and ``Q`` a (J, J) matrix, or a (V, J, J)
+    stack for a (V, P, J) block of model variants.  Returns (w, active)
+    with ``active`` the faces that push; w is exact +0.0 off them.  The
+    active set starts at the faces where q < 0.  Each pass solves E - Q
+    restricted to it (identity rows elsewhere) for the whole block in
+    one batched solve, then adds every face left below zero; the set
+    only grows, so it stops within J passes.  Rows never mix.
 
     Raises
     ------
-    ConvergenceError
-        When ``max_iter`` updates did not reach ``tol``; carries the
-        last iterate and its residual.
+    DomainError
+        When q holds a NaN.
+    """
+    low = q.min()  # NaN when any entry is NaN
+    if low >= 0.0:
+        return np.zeros_like(q), np.zeros(q.shape, dtype=bool)
+    if np.isnan(low):
+        raise DomainError("reflection target is not a number")
+    active = q < 0.0
+    if Q is None:
+        return np.where(active, -q, 0.0), active
+    eye = np.identity(q.shape[-1])
+    M = eye - Q
+    M_t = np.swapaxes(M, -1, -2)
+    if M.ndim == 3:
+        M = M[:, np.newaxis]
+    while True:
+        A = np.where(active[..., :, np.newaxis] & active[..., np.newaxis, :],
+                     M, eye)
+        w = np.linalg.solve(A, np.where(active, -q, 0.0)[..., np.newaxis])[..., 0]
+        added = (q + w @ M_t < 0.0) & ~active
+        if not added.any():
+            return w, active
+        active |= added
+
+
+def lcp_solve(M, q) -> LcpSolution:
+    """Solution of z = q + M w, w, z >= 0, <w, z> = 0 for an M-matrix M.
+
+    Runs the active-set method of ``_least_push`` with Q = E - M.
     """
     M = np.asarray(M, dtype=float)
     q = np.asarray(q, dtype=float)
-    w, iterations, delta = _least_push(q, np.identity(q.shape[0]) - M, tol,
-                                       max_iter)
-    return LcpSolution(w=w, z=q + M @ w, iterations=iterations, residual=delta)
+    w = _least_push(q, np.identity(q.shape[0]) - M)[0]
+    return LcpSolution(w=w, z=q + M @ w)
 
 
 def _step(NT, R, Q, h_prev, delta_f):
@@ -371,6 +361,6 @@ def lyapunov_m(model: ConeModel, x, dt: float = 1e-3,
         state, _ = _step(NT, R, Q, state, step_drift)
         t = (k + 1) * dt
     raise ConvergenceError(
-        f"noise-free path from {x} did not reach the origin by t={horizon:g}; "
-        "the drift may be unstable or the horizon too short",
-        iterations=n_steps, residual=float(np.linalg.norm(state)), last=state)
+        f"noise-free path from {x} did not reach the origin by t={horizon:g} "
+        f"(|h| = {float(np.linalg.norm(state)):.3e}); the drift may be "
+        "unstable or the horizon too short")

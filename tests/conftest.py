@@ -54,6 +54,22 @@ def hr2d_model(drift_deriv=(1.0, 0.0)) -> ConeModel:
     )
 
 
+def rho97_model(drift_deriv=(1.0, 0.0)) -> ConeModel:
+    """Orthant pair with R = [[1, -0.97], [-0.97, 1]], so rho(Q) = 0.97.
+
+    Accepted by ``validate_cone`` and drift-stable (R w = -b at
+    w = (1, 1)), but a fixed-point reflection solve contracts only by
+    0.97 per iteration at the corner.
+    """
+    return ConeModel(
+        normals=np.identity(2),
+        reflections=[[1.0, -0.97], [-0.97, 1.0]],
+        drift=[-0.03, -0.03],
+        dispersion=np.identity(2),
+        drift_deriv=drift_deriv,
+    )
+
+
 def paired_five_face_model() -> ConeModel:
     """Five-face orthant cone with rho(Q) = 0.5 and a zero fifth row of Q.
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from rbmsens.geometry import (drift_stability_check, perturbed_model,
                               validate_cone)
 from rbmsens.sim import simulate_joint, simulate_rbm
 
-from conftest import paired_five_face_model
+from conftest import paired_five_face_model, rho97_model
 
 MINIMAL = """\
 [geometry]
@@ -206,6 +207,37 @@ class TestCli:
         code = main(["--config", str(path), "--command", "check"])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("drift", "nan"), ("dt", "nan"), ("horizon", "inf"),
+        ("face_tol", "nan"), ("fd_epsilon", "nan")])
+    def test_numbers_that_are_not_finite_exit_2(self, tmp_path, capsys, key,
+                                                value):
+        text = MINIMAL.replace("seed = 3\n",
+                               "seed = 3\nface_tol = 1e-9\nfd_epsilon = 0.05\n")
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        code = main(["--config", str(path), "--command", "stationary"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"] {key}: expected a finite number" in err
+        assert "Traceback" not in err
+
+    def test_rho97_cone_runs(self, tmp_path, capsys):
+        # rho(Q) = 0.97: at the corner the fixed point w <- (Q w - q)^+
+        # contracts by only 0.97 per update; the active-set solve is
+        # exact after two passes
+        sc = replace(builtin_scenario("hr2d"), model=rho97_model(),
+                     fd_epsilon=0.01)
+        sc = replace(sc, sim=replace(sc.sim, horizon=2.0, burn_in=0.5,
+                                     n_paths=2))
+        path = tmp_path / "rho97.cfg"
+        path.write_text(emit_config(sc))
+        for command in ("check", "stationary", "sensitivity"):
+            code = main(["--config", str(path), "--command", command,
+                         "--out", str(tmp_path / f"{command}.out")])
+            assert code == 0, capsys.readouterr().err
 
     def test_missing_file_exit_code(self, capsys):
         code = main(["--config", "/does/not/exist.cfg", "--command", "check"])

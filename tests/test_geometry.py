@@ -49,6 +49,18 @@ class TestConeModel:
             ConeModel(normals=np.identity(2), reflections=np.identity(2),
                       drift=[0.0, 0.0, 0.0], dispersion=np.identity(2))
 
+    @pytest.mark.parametrize("field", ["normals", "reflections", "drift",
+                                       "dispersion", "reflection_deriv"])
+    def test_rejects_entries_that_are_not_finite(self, field):
+        data = dict(normals=np.identity(2), reflections=np.identity(2),
+                    drift=[-1.0, -1.0], dispersion=np.identity(2),
+                    reflection_deriv=np.zeros((2, 2)))
+        bad = np.array(data[field], dtype=float)
+        bad.flat[-1] = np.inf if field == "normals" else np.nan
+        data[field] = bad
+        with pytest.raises(GeometryError, match=f"{field} has entries"):
+            ConeModel(**data)
+
     def test_arrays_frozen(self):
         model = orthant_model()
         with pytest.raises(ValueError):

@@ -8,9 +8,10 @@ One scenario file (or a named builtin) drives every command:
 Commands: check, simulate, stationary, sensitivity, contraction,
 lyapunov, sweep.  Exit codes: 0 success, 2 configuration problems
 (including numbers that are not finite), 3 geometry rejection
-(including unstable drift), 4 a ``lyapunov`` path that does not reach
-the origin by its horizon, 5 estimator misuse.  CSV bodies contain no
-timestamps, so identical runs produce byte-identical files.
+(including unstable drift and couplings outside Q >= 0, rho(Q) < 1),
+4 a ``lyapunov`` path that does not reach the origin by its horizon,
+5 estimator misuse.  CSV bodies contain no timestamps, so identical
+runs produce byte-identical files.
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ class RbmError(Exception):
 class GeometryError(RbmError):
     """The cone data is structurally unusable (wrong shapes, singular
     normal matrix where an inverse is required, non-transversal
-    reflection directions, weight vector not positive)."""
+    reflection directions, weight vector not positive, Q = E - N^T R
+    outside Q >= 0, rho(Q) < 1)."""
 
 
 class DomainError(RbmError):

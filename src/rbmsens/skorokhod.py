@@ -9,8 +9,9 @@ one solves
     z = q + M w,   w >= 0,  z >= 0,  <w, z> = 0,   M = N^T R,
 
 and sets h_{k+1} = h_k + Δf + R w.  Because M = E - Q with Q >= 0 and
-rho(Q) < 1, M is an M-matrix and the problem has exactly one solution,
-the least element of its feasible set, whatever the order of faces.
+rho(Q) < 1 (checked before any solve; GeometryError otherwise), M is an
+M-matrix and the problem has exactly one solution, the least element
+of its feasible set, whatever the order of faces.
 
 One kernel, ``_least_push``, solves it exactly for a (..., J) block of
 q vectors, with one Q or one per model variant of a batched run, by
@@ -33,11 +34,12 @@ started at x needs to reach the origin.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
-from .geometry import ConeModel, active_faces
+from .errors import ConvergenceError, DomainError, GeometryError
+from .geometry import ConeModel, active_faces, spectral_radius
 
 __all__ = [
     "DiscretePath",
@@ -115,12 +117,23 @@ class SPResult:
     local_time: DiscretePath
 
 
-def _couplings(model: ConeModel) -> np.ndarray | None:
-    """Q = E - N^T R of ``model``, or None when Q is exactly zero.
+def _in_regime(Q: np.ndarray, name: str) -> np.ndarray:
+    """``Q`` if Q >= 0 and rho(Q) < 1 (the bounds of ``validate_cone``),
+    so that E - Q is an M-matrix; GeometryError otherwise."""
+    low, rho = float(Q.min()), spectral_radius(np.maximum(Q, 0.0))
+    if not (low >= -1e-12 and rho < 1.0):
+        raise GeometryError(
+            f"{name} has least entry {low:.3e} and spectral radius {rho:.6g}; "
+            "the reflection solve needs Q >= 0 and rho(Q) < 1")
+    return Q
 
-    None tells ``_least_push`` to use the closed form w = (-q)^+.
-    """
-    Q = model.q_matrix()
+
+@lru_cache(maxsize=64)
+def _couplings(model: ConeModel) -> np.ndarray | None:
+    """Checked Q = E - N^T R, or None (w = (-q)^+) when Q is exactly zero;
+    cached, as the model is immutable and ``sp_step`` asks every step."""
+    Q = _in_regime(model.q_matrix(), "Q = E - N^T R")
+    Q.setflags(write=False)
     return Q if Q.any() else None
 
 
@@ -166,11 +179,13 @@ def _least_push(q: np.ndarray, Q: np.ndarray | None):
 def lcp_solve(M, q) -> LcpSolution:
     """Solution of z = q + M w, w, z >= 0, <w, z> = 0 for an M-matrix M.
 
-    Runs the active-set method of ``_least_push`` with Q = E - M.
+    Runs the active-set method of ``_least_push`` with Q = E - M, and
+    raises GeometryError unless Q >= 0 and rho(Q) < 1.
     """
     M = np.asarray(M, dtype=float)
     q = np.asarray(q, dtype=float)
-    w = _least_push(q, np.identity(q.shape[0]) - M)[0]
+    Q = _in_regime(np.identity(q.shape[0]) - M, "Q = E - M")
+    w = _least_push(q, Q)[0]
     return LcpSolution(w=w, z=q + M @ w)
 
 

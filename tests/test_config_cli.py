@@ -239,6 +239,21 @@ class TestCli:
                          "--out", str(tmp_path / f"{command}.out")])
             assert code == 0, capsys.readouterr().err
 
+    @pytest.mark.parametrize("reflections", ["1 -2; -2 1", "1 -1; -1 1"])
+    def test_couplings_outside_the_regime_exit_3(self, tmp_path, capsys,
+                                                 reflections):
+        # rho(Q) = 2 and rho(Q) = 1: the reflection solve would return a
+        # negative push or hit a singular matrix, so every simulating
+        # command refuses the cone before the first step
+        path = tmp_path / "bad.cfg"
+        path.write_text(MINIMAL.replace("1 -0.3; -0.3 1", reflections))
+        for command in ("simulate", "stationary", "sensitivity", "lyapunov"):
+            code = main(["--config", str(path), "--command", command,
+                         "--out", str(tmp_path / f"{command}.out")])
+            err = capsys.readouterr().err
+            assert code == 3, err
+            assert "Traceback" not in err
+
     def test_missing_file_exit_code(self, capsys):
         code = main(["--config", "/does/not/exist.cfg", "--command", "check"])
         assert code == 2

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rbmsens.errors import ConvergenceError, DomainError
+from rbmsens.errors import ConvergenceError, DomainError, GeometryError
 from rbmsens.geometry import ConeModel
 from rbmsens.skorokhod import (
     _LOOKAHEAD,
@@ -63,6 +63,15 @@ class TestLcpSolve:
         np.testing.assert_allclose(sol.w, [1.0, 1.5])
         np.testing.assert_allclose(sol.z, [0.0, 0.0], atol=1e-12)
 
+    @pytest.mark.parametrize("m", [
+        [[1.0, 0.5], [0.5, 1.0]],    # Q has a negative entry
+        [[1.0, -1.0], [-1.0, 1.0]],  # rho(Q) = 1, E - Q singular
+        [[1.0, -2.0], [-2.0, 1.0]],  # rho(Q) = 2: a negative "solution"
+    ])
+    def test_rejects_m_outside_the_regime(self, m):
+        with pytest.raises(GeometryError):
+            lcp_solve(np.array(m), np.array([-1.0, -1.0]))
+
     def test_solution_invariants_random(self, rng):
         # 100 cones of dimension 1-4 with rho(Q) up to 0.8, then 100 of
         # dimension 2-8 with rho(Q) up to 0.99
@@ -117,6 +126,20 @@ class TestLeastPush:
 
 
 class TestSpStep:
+    @pytest.mark.parametrize("reflections", [
+        [[1.0, 0.5], [0.5, 1.0]], [[1.0, -1.0], [-1.0, 1.0]],
+        [[1.0, -2.0], [-2.0, 1.0]]])
+    def test_every_model_entry_rejects_couplings_outside_the_regime(
+            self, reflections):
+        model = ConeModel(normals=np.identity(2), reflections=reflections,
+                          drift=[-1.0, -1.0], dispersion=np.identity(2))
+        driver = DiscretePath([0.0, 1.0], [[0.0, 0.0], [-1.0, -1.0]])
+        for call in (lambda: sp_step(model, [0.0, 0.0], [-1.0, -1.0]),
+                     lambda: sp_solve_path(model, driver),
+                     lambda: lyapunov_m(model, [1.0, 1.0])):
+            with pytest.raises(GeometryError, match="reflection solve"):
+                call()
+
     def test_halfline_push(self):
         h, ell = sp_step(halfline_model(), [0.5], [-0.8])
         np.testing.assert_allclose(h, [0.0], atol=1e-12)
